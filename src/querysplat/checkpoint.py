@@ -15,7 +15,9 @@ serialize to identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
 
 import numpy as np
@@ -30,7 +32,11 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
-    """Write a name→array mapping to ``path``."""
+    """Write a name→array mapping to ``path``, atomically.
+
+    The bytes go to a temporary file next to ``path`` that then replaces it,
+    so an interrupted or failed write leaves any previous checkpoint intact.
+    """
     buf = io.BytesIO()
     buf.write(MAGIC)
     for name in sorted(state):
@@ -42,8 +48,15 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
         for dim in arr.shape:
             buf.write(struct.pack("<I", dim))
         buf.write(np.ascontiguousarray(arr).astype("<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(buf.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:

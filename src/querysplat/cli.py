@@ -145,10 +145,11 @@ def _scene_dirs(data_dir):
     return dirs
 
 
-def _load_dataset(data_dir):
-    """Scenes plus baked samples, with the stored sparse masks applied."""
+def _load_dataset(dirs):
+    """Scenes of the given scene directories plus baked samples, with the
+    stored sparse masks applied."""
     scenes, samples = [], []
-    for d in _scene_dirs(data_dir):
+    for d in dirs:
         scene = sc.load_scene(os.path.join(d, "scene.bin"))
         sample = sc.bake_ground_truth(scene)
         masks = np.stack(
@@ -216,7 +217,7 @@ def cmd_pretrain(cfg, args):
         raise UsageError("pretrain requires --data (a gen-data directory)")
     out = cfg["out_dir"]
     cf.write_resolved(cfg, out)
-    scenes, samples = _load_dataset(args.data)
+    scenes, samples = _load_dataset(_scene_dirs(args.data))
     _check_views(cfg, scenes)
     model = _build_model_for(cfg, scenes[0].bounds)
 
@@ -275,7 +276,7 @@ def _write_views(model, sample, rcfg, out_dir, with_gt):
     ]
     n = 0
     for k, cam in enumerate(sample.cameras):
-        out = rd.render(prims, cam, rcfg, image_size=sample.rgb[k].shape[:2])
+        out = rd.render(prims, cam, rcfg)
         write_ppm(os.path.join(out_dir, f"view{k}.ppm"), out.rgb)
         write_pfm(os.path.join(out_dir, f"view{k}.pfm"), out.depth)
         n += 2
@@ -312,9 +313,11 @@ def cmd_render(cfg, args):
     return 0
 
 
-def _train_split(scenes, samples, fraction):
-    n_train = math.ceil(float(fraction) * len(scenes))
-    return scenes[:n_train], samples[:n_train]
+def _split_scenes(dirs, fraction):
+    """(training, held-out) scene directories: the first ceil(fraction * n)
+    train, the rest are held out."""
+    n_train = math.ceil(float(fraction) * len(dirs))
+    return dirs[:n_train], dirs[n_train:]
 
 
 def _load_pretrained(cfg, args, bounds):
@@ -342,10 +345,10 @@ def _build_task(cfg, bounds, d_pre):
 def cmd_finetune(cfg, args):
     out = cfg["out_dir"]
     cf.write_resolved(cfg, out)
-    scenes, samples = _load_dataset(args.data)
-    _check_views(cfg, scenes)
     f = cfg["finetune"]
-    scenes, samples = _train_split(scenes, samples, f["train_fraction"])
+    train, _ = _split_scenes(_scene_dirs(args.data), f["train_fraction"])
+    scenes, samples = _load_dataset(train)
+    _check_views(cfg, scenes)
     print(f"fine-tuning on {len(scenes)} scene(s)")
     model = _load_pretrained(cfg, args, scenes[0].bounds)
     task = _build_task(cfg, scenes[0].bounds, model.decoder_cfg.feature_dim)
@@ -372,13 +375,11 @@ def cmd_finetune(cfg, args):
 def cmd_eval(cfg, args):
     out = cfg["out_dir"]
     cf.write_resolved(cfg, out)
-    scenes, samples = _load_dataset(args.data)
-    _check_views(cfg, scenes)
     f = cfg["finetune"]
-    n_train = math.ceil(float(f["train_fraction"]) * len(scenes))
-    if n_train < len(scenes):
-        scenes, samples = scenes[n_train:], samples[n_train:]
+    train, held = _split_scenes(_scene_dirs(args.data), f["train_fraction"])
     # With no held-out scenes the full set is scored instead.
+    scenes, samples = _load_dataset(held or train)
+    _check_views(cfg, scenes)
     model = _load_pretrained(cfg, args, scenes[0].bounds)
     task = _build_task(cfg, scenes[0].bounds, model.decoder_cfg.feature_dim)
     try:

@@ -205,6 +205,36 @@ def init_decoder_params(store, rng, cfg, prefix="decoder"):
 _VOXEL_OFFSETS = list(itertools.product((-1, 0, 1), repeat=3))
 
 
+def _sparse_voxel_conv(pooled, weight, bias, pairs):
+    """3x3x3 conv over occupied voxels as one tape node.
+
+    weight is (27 * D, D_out) with row block o for offset o; pairs[o] =
+    (dst, src) lists the voxels dst whose offset-o neighbor is occupied, at
+    slot src. Absent neighbors read zeros, so each offset contributes only
+    its occupied pairs; the result equals the dense im2col product of the
+    (V, 27 * D) neighbor matrix with weight, without building it.
+    """
+    D = pooled.data.shape[1]
+    w_blocks = [weight.data[o * D:(o + 1) * D] for o in range(len(pairs))]
+    out = np.tile(bias.data, (pooled.data.shape[0], 1))
+    for (dst, src), w_o in zip(pairs, w_blocks):
+        if dst.size:
+            out[dst] += pooled.data[src] @ w_o
+
+    def vjp(g):
+        g_pooled = np.zeros_like(pooled.data)
+        g_weight = np.zeros_like(weight.data)
+        for o, ((dst, src), w_o) in enumerate(zip(pairs, w_blocks)):
+            if dst.size:
+                g_dst = g[dst]
+                # src slots are distinct within one offset, so += is exact.
+                g_pooled[src] += g_dst @ w_o.T
+                g_weight[o * D:(o + 1) * D] = pooled.data[src].T @ g_dst
+        return g_pooled, g_weight, g.sum(axis=0)
+
+    return ad.custom((pooled, weight, bias), out, vjp, name="voxel_conv")
+
+
 def voxelize_and_sparse_conv(qs, voxel_size, store, prefix):
     """Mean-pool query features into voxels, run one 3x3x3 sparse conv over
     occupied voxels, and scatter the result back residually.
@@ -215,7 +245,7 @@ def voxelize_and_sparse_conv(qs, voxel_size, store, prefix):
     """
     if voxel_size <= 0.0:
         raise ValueError("voxel_size must be positive")
-    K, D = qs.features.data.shape
+    K = qs.features.data.shape[0]
     mu = decode_positions(qs.anchors, qs.bounds)
     origin = qs.bounds[0]
     vox = np.floor((mu.data - origin) / voxel_size).astype(np.int64)
@@ -247,16 +277,16 @@ def voxelize_and_sparse_conv(qs, voxel_size, store, prefix):
         return (s[:, 0] * span[1] + s[:, 1]) * span[2] + s[:, 2]
 
     keys = _pack(uniq)
-    padded = ad.concat([pooled, ad.constant(np.zeros((1, D)))], axis=0)
-    neighbor_feats = []
+    pairs = []  # per offset: (voxels with that neighbor, the neighbor's slot)
     for off in _VOXEL_OFFSETS:
         cand = _pack(uniq + np.asarray(off))
         pos = np.searchsorted(keys, cand)
         pos_c = np.minimum(pos, V - 1)
-        idx = np.where(keys[pos_c] == cand, pos_c, V)
-        neighbor_feats.append(ad.gather(padded, idx))
-    stacked = ad.concat(neighbor_feats, axis=1)  # (V, 27 * D)
-    conv = ad.linear(stacked, store[f"{prefix}.voxconv.w"], store[f"{prefix}.voxconv.b"])
+        dst = np.flatnonzero(keys[pos_c] == cand)
+        pairs.append((dst, pos_c[dst]))
+    conv = _sparse_voxel_conv(
+        pooled, store[f"{prefix}.voxconv.w"], store[f"{prefix}.voxconv.b"], pairs
+    )
 
     per_query_sorted = ad.gather(conv, slot_sorted)
     update = ad.gather(per_query_sorted, inv_order)
@@ -286,6 +316,40 @@ def _project_points_engine(points, camera):
     return pixels, mask
 
 
+def _mix_heads(sampled, weights):
+    """Per-head weighted sum over the sampled features as one tape node.
+
+    sampled: B tensors of shape (K * O, D_F), query-major, one per (view,
+    level) block; sample s = (b, o) enumerates them block by block.
+    weights: (K, H, S) with S = B * O. Returns (K, H, dh), out[k, h] =
+    sum_s weights[k, h, s] * value[k, s, h], where value[k, (b, o)] is row
+    k * O + o of block b split into H heads of width dh.
+    """
+    w = weights.data
+    K, H, S = w.shape
+    B = len(sampled)
+    O = S // B
+    D = sampled[0].data.shape[1]
+    dh = D // H
+    value = np.concatenate(
+        [t.data.reshape(K, O * D) for t in sampled], axis=1
+    ).reshape(K, S, D)
+    # Mixing all H heads' weights against all D channels costs H times the
+    # flops of the per-head sums but runs as one batched matmul; the
+    # (h, h) diagonal blocks are the per-head results.
+    heads = np.arange(H)
+    out = (w @ value).reshape(K, H, H, dh)[:, heads, heads]
+    eye = np.eye(H)[None, :, :, None]
+
+    def vjp(g):
+        g_full = (eye * g[:, :, None, :]).reshape(K, H, D)  # block-diagonal g
+        g_weights = g_full @ value.transpose(0, 2, 1)
+        g_value = (w.transpose(0, 2, 1) @ g_full).reshape(K, B, O * D)
+        return tuple(g_value[:, b].reshape(K * O, D) for b in range(B)) + (g_weights,)
+
+    return ad.custom(tuple(sampled) + (weights,), out, vjp, name="mix_heads")
+
+
 def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
     """Sample the pyramid at learned 3D offset points and mix per-head."""
     if len(cameras) == 0:
@@ -299,7 +363,6 @@ def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
     K, D = qs.features.data.shape
     O, H = cfg.n_offsets, cfg.n_heads
     voxel_size = cfg.resolve_voxel_size(qs.bounds)
-    dh = enc.D_F // H
 
     mu = decode_positions(qs.anchors, qs.bounds)  # (K, 3)
     raw_off = ad.linear(
@@ -322,20 +385,13 @@ def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
             sampled.append(feats)
 
     S = cfg.n_views * cfg.n_levels * O
-    # (K, V*L, O*D_F) -> (K, S, D_F): within a (view, level) block the O
-    # offsets are contiguous, matching the (view, level, offset) s-order.
-    blocks = [ad.reshape(t, (K, O * enc.D_F)) for t in sampled]
-    value = ad.reshape(ad.concat(blocks, axis=1), (K, S, H, dh))
-
     logits = ad.linear(
         qs.features, store[f"{prefix}.attn.logit.w"], store[f"{prefix}.attn.logit.b"]
     )
     weights = ad.softmax(ad.reshape(logits, (K, H, S)), axis=2)
 
-    value_hm = ad.transpose(value, (0, 2, 1, 3))  # (K, H, S, dh)
-    mixed = ad.reduce_sum(
-        ad.mul(value_hm, ad.reshape(weights, (K, H, S, 1))), axis=2
-    )  # (K, H, dh)
+    # Samples s run over (view, level, offset), matching `sampled` order.
+    mixed = _mix_heads(sampled, weights)  # (K, H, dh)
     mixed_flat = ad.reshape(mixed, (K, enc.D_F))
     update = ad.matmul(mixed_flat, store[f"{prefix}.attn.out.w"])  # bias-free
     return GaussianQuerySet(

@@ -162,8 +162,8 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
     pix = pixels if isinstance(pixels, ad.Tensor) else ad.constant(pixels)
     uv = pix.data * (1.0 / float(stride))
     base = np.floor(uv)  # the cell choice is locally fixed
-    fu = (uv[:, 0] - base[:, 0])[:, None]  # (M, 1)
-    fv = (uv[:, 1] - base[:, 1])[:, None]
+    fu = uv[:, 0] - base[:, 0]  # (M,)
+    fv = uv[:, 1] - base[:, 1]
     wu = [1.0 - fu, fu]
     wv = [1.0 - fv, fv]
     x0 = base[:, 0].astype(np.int64)
@@ -177,20 +177,20 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
     idx = np.where(inside, cy * w + cx, h * w)  # (4, M)
     corner = padded[idx]  # (4, M, c)
     wt = np.stack([wu[0] * wv[0], wu[1] * wv[0], wu[0] * wv[1], wu[1] * wv[1]])
-    out = np.einsum("amc,am->mc", corner, wt[:, :, 0])
     if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64).reshape(-1, 1)
-        out = out * mask
+        mask = np.asarray(mask, dtype=np.float64).reshape(-1)
+        wt = wt * mask
+    out = np.einsum("amc,am->mc", corner, wt)
 
     def vjp(g):
+        gmap = ad._index_add((h * w + 1, c), idx.reshape(-1), wt[:, :, None] * g[None])
+        # d out / d(fu, fv) per corner, contracted with g over channels first.
+        gc = np.einsum("amc,mc->am", corner, g)
+        gfu = wv[0] * (gc[1] - gc[0]) + wv[1] * (gc[3] - gc[2])
+        gfv = wu[0] * (gc[2] - gc[0]) + wu[1] * (gc[3] - gc[1])
         if mask is not None:
-            g = g * mask
-        gmap = ad._index_add((h * w + 1, c), idx.reshape(-1), wt * g[None])
-        dfu = wv[0] * (corner[1] - corner[0]) + wv[1] * (corner[3] - corner[2])
-        dfv = wu[0] * (corner[2] - corner[0]) + wu[1] * (corner[3] - corner[1])
-        gpix = np.stack(
-            [(g * dfu).sum(axis=1), (g * dfv).sum(axis=1)], axis=1
-        ) * (1.0 / float(stride))
+            gfu, gfv = gfu * mask, gfv * mask
+        gpix = np.stack([gfu, gfv], axis=1) * (1.0 / float(stride))
         return gmap[: h * w].reshape(h, w, c), gpix
 
     return ad.custom((level_map, pix), out, vjp, name="bilinear")

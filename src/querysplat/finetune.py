@@ -80,10 +80,15 @@ class InteractionConfig:
 
 @dataclass
 class FrozenInference:
-    """Detached product of one read-only pre-trained forward pass."""
+    """Detached product of one read-only pre-trained forward pass.
+
+    Treat it as read-only: the opacity-filtered anchors and the neighbour
+    table a task derives from it are memoised on it (see _interaction_inputs).
+    """
 
     anchors: np.ndarray  # (N, 11) decoded [mu, scale, quat, opacity]
     features: np.ndarray  # (N, D) final query features
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def infer_frozen(model, sample):
@@ -124,11 +129,22 @@ def filter_by_opacity(gaussians, features, alpha_thresh):
     return g[keep], f[keep]
 
 
+# Query rows per distance block in knn_neighbors: bounds its scratch memory
+# at _KNN_CHUNK x N distances whatever the number of task queries.
+_KNN_CHUNK = 128
+
+
 def knn_neighbors(task_positions, anchor_positions, k):
     """Indices of the k nearest anchors per task position, shape (M, k).
 
     Euclidean distance; ties broken by ascending anchor index.  With fewer
     than k anchors, the nearest one's index repeats to fill the row.
+
+    Rows are processed in blocks of _KNN_CHUNK.  Each row's k candidates
+    come from a partial select and are then ordered by (distance, index);
+    a row whose k-th distance is tied with an anchor outside the candidates
+    falls back to a full stable sort, so the result equals a stable argsort
+    of the squared distances bit for bit.
     """
     tp = np.asarray(task_positions, dtype=np.float64)
     ap = np.asarray(anchor_positions, dtype=np.float64)
@@ -136,13 +152,38 @@ def knn_neighbors(task_positions, anchor_positions, k):
         raise ValueError(f"k must be >= 1, got {k}")
     if ap.ndim != 2 or ap.shape[0] == 0:
         raise ValueError("knn_neighbors requires at least one anchor")
-    d2 = ((tp[:, None, :] - ap[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
     n = ap.shape[0]
+    take = min(k, n)
+    out = np.empty((tp.shape[0], take), dtype=np.intp)
+    for lo in range(0, tp.shape[0], _KNN_CHUNK):
+        rows = tp[lo : lo + _KNN_CHUNK]
+        # One axis at a time: the same bits as summing the squared
+        # differences over the last axis.
+        d2 = np.zeros((rows.shape[0], n))
+        for axis in range(ap.shape[1]):
+            diff = rows[:, axis, None] - ap[None, :, axis]
+            d2 += diff * diff
+        out[lo : lo + rows.shape[0]] = _k_smallest(d2, take)
     if n >= k:
-        return order[:, :k]
-    fill = np.repeat(order[:, :1], k - n, axis=1)
-    return np.concatenate([order, fill], axis=1)
+        return out
+    fill = np.repeat(out[:, :1], k - n, axis=1)
+    return np.concatenate([out, fill], axis=1)
+
+
+def _k_smallest(d2, k):
+    """Per row, the indices of the k smallest values by (value, index)."""
+    if k == d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, part, axis=1)
+    idx = np.take_along_axis(part, np.lexsort((part, dist), axis=1), axis=1)
+    # Exactly k values at or below the k-th one make the candidates the
+    # unique k smallest; otherwise (a tie at the boundary, or NaN) the
+    # partial select may have picked the wrong index among equals.
+    kth = np.take_along_axis(d2, part[:, k - 1 : k], axis=1)
+    for r in np.flatnonzero((d2 <= kth).sum(axis=1) != k):
+        idx[r] = np.argsort(d2[r], kind="stable")[:k]
+    return idx
 
 
 def local_query_interaction(tq, anchors, anchor_features, cfg, store):
@@ -162,29 +203,51 @@ def local_query_interaction(tq, anchors, anchor_features, cfg, store):
             "query interaction is an identity pass-through"
         )
         return tq
+    neigh = knn_neighbors(tq.positions, anchors[:, :3], cfg.k)
+    return _attend_neighbors(tq, anchors, anchor_features, neigh, store)
 
+
+def _attend_neighbors(tq, anchors, anchor_features, neigh, store):
+    """local_query_interaction's update, given its (M, k) neighbour table."""
     adapter = store["task.interact.adapter.w"]
     if anchor_features.shape[1] != adapter.data.shape[0]:
         raise ValueError(
             f"anchor feature dim {anchor_features.shape[1]} does not match "
             f"the interaction adapter input dim {adapter.data.shape[0]}"
         )
-    m, d_task = tq.features.data.shape
-    neigh = knn_neighbors(tq.positions, anchors[:, :3], cfg.k)
-
     q = tq.features + _mlp2(store, "task.interact.pos", ad.constant(tq.positions))
     kv = ad.matmul(ad.constant(anchor_features), adapter) + _mlp2(
         store, "task.interact.gk", ad.constant(anchors)
     )
-    kv_n = ad.gather(kv, neigh)  # (M, k, D_t)
-
-    scores = ad.reduce_sum(
-        ad.reshape(q, (m, 1, d_task)) * kv_n, axis=2
-    ) * (1.0 / np.sqrt(d_task))
-    weights = ad.softmax(scores, axis=1)
-    attended = ad.reduce_sum(ad.reshape(weights, (m, cfg.k, 1)) * kv_n, axis=1)
+    attended = neighbor_attention(q, kv, neigh)
     update = ad.matmul(attended, store["task.interact.out.w"])
     return TaskQuerySet(positions=tq.positions, features=tq.features + update)
+
+
+def neighbor_attention(q, kv, neigh):
+    """Softmax attention of each query row over its own neighbour rows of kv.
+
+    Row i attends to kv[neigh[i]] with weights softmax_j(q_i . kv_j / sqrt(D))
+    and returns their weighted sum, shape (M, D).  One tape node: the
+    backward is analytic, and the kv cotangent is scattered back to the
+    rows it was gathered from.
+    """
+    qd = q.data
+    kn = kv.data[neigh]  # (M, k, D)
+    scale = 1.0 / np.sqrt(qd.shape[1])
+    scores = np.einsum("md,mkd->mk", qd, kn) * scale
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    out = np.einsum("mk,mkd->md", w, kn)
+
+    def vjp(g):
+        gw = np.einsum("md,mkd->mk", g, kn)
+        gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scale
+        gq = np.einsum("mk,mkd->md", gs, kn)
+        gkn = w[:, :, None] * g[:, None, :] + gs[:, :, None] * qd[:, None, :]
+        return gq, ad._index_add(kv.data.shape, neigh, gkn)
+
+    return ad.custom((q, kv), out, vjp, name="neighbor_attention")
 
 
 def occupancy_head(tq, grid_shape, store):
@@ -296,14 +359,35 @@ def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
     return TaskModel(store=store, positions=positions, cfg=cfg, grid=g, bounds=bounds)
 
 
+def _interaction_inputs(task, frozen):
+    """Opacity-filtered anchors, their features and the (M, k) neighbour table.
+
+    They depend only on the frozen inference and on the task's fixed
+    positions, k and alpha_thresh, so they are computed once per scene and
+    memoised on the frozen inference, keyed by those values.
+    """
+    cfg, positions = task.cfg, task.positions
+    key = (cfg.k, cfg.alpha_thresh, positions.shape, positions.tobytes())
+    if key not in frozen._memo:
+        anchors, feats = filter_by_opacity(
+            frozen.anchors, frozen.features, cfg.alpha_thresh
+        )
+        neigh = None
+        if anchors.shape[0]:
+            neigh = knn_neighbors(positions, anchors[:, :3], cfg.k)
+        frozen._memo[key] = (anchors, feats, neigh)
+    return frozen._memo[key]
+
+
 def _task_logits(task, frozen, use_interaction):
     """Forward pass from stored task queries to per-voxel logits."""
     tq = TaskQuerySet(positions=task.positions, features=task.store["task.queries"])
     if use_interaction:
-        anchors, feats = filter_by_opacity(
-            frozen.anchors, frozen.features, task.cfg.alpha_thresh
-        )
-        tq = local_query_interaction(tq, anchors, feats, task.cfg, task.store)
+        anchors, feats, neigh = _interaction_inputs(task, frozen)
+        if neigh is None:  # no anchors: the interaction passes tq through
+            tq = local_query_interaction(tq, anchors, feats, task.cfg, task.store)
+        else:
+            tq = _attend_neighbors(tq, anchors, feats, neigh, task.store)
     return occupancy_head(tq, task.grid, task.store)
 
 
@@ -347,9 +431,11 @@ def run_finetuning(
     """Train the task model over a cycle of scenes' occupancy grids.
 
     The pre-trained forward pass runs once per scene up front — it is
-    frozen, so its output is the same every step.  Returns one metrics dict
-    per step with keys step, loss, iou_occupied, miou (scored on that
-    step's scene); the same rows go to the CSV at log_path when given.
+    frozen, so its output is the same every step.  The opacity filter and
+    the k-NN lookup also run once per scene, at its first step.  Returns
+    one metrics dict per step with keys step, loss, iou_occupied, miou
+    (scored on that step's scene); the same rows go to the CSV at log_path
+    when given.
     """
     if len(samples) != len(scenes) or not scenes:
         raise ValueError(

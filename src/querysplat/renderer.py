@@ -1,4 +1,4 @@
-"""Differentiable splat rendering: tiled rasterizer, reference oracle, backward.
+"""Differentiable splat rendering: footprint rasterizer, reference oracle, backward.
 
 Per pixel p, front-to-back alpha compositing over depth-sorted Gaussians:
 
@@ -17,10 +17,11 @@ Threshold semantics are shared by both render paths through RenderConfig:
   * compositing stops once transmittance falls below
     ``early_stop_transmittance`` (default 1e-4).
 
-The tiled path bins each Gaussian into the tiles its footprint can reach; the
-conservative footprint radius guarantees everything outside the bins is below
-the drop floor, so tiling only skips exact no-ops. The reference path visits
-every Gaussian at every pixel.
+The fast path enumerates, per Gaussian, the pixels of the bounding box of
+its drop ellipse and keeps the (Gaussian, pixel) pairs that pass the drop
+test; everything outside the box is below the drop floor, so it only skips
+exact no-ops, and each pixel composites its kept pairs in depth order. The
+reference path visits every Gaussian at every pixel.
 
 ``render_backward`` is a hand-derived analytic adjoint of the full pipeline
 (compositing, Gaussian footprint, projection, covariance construction); it is
@@ -59,7 +60,11 @@ _MIN_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Thresholds shared by the tiled renderer and the reference oracle."""
+    """Thresholds shared by the fast renderer and the reference oracle.
+
+    tile_size only sizes the per-tile slot lists of RenderCache.tiles, a
+    diagnostic view of the footprints; it does not change any output.
+    """
 
     tile_size: int = 16
     alpha_clamp: float = 0.9999
@@ -85,7 +90,7 @@ class RenderOutput:
 class RenderCache:
     """Forward-pass state retained for the analytic backward pass."""
 
-    def __init__(self, arrays, camera, config, width, height, P, prep, tiles):
+    def __init__(self, arrays, camera, config, width, height, P, prep):
         self.arrays = arrays
         self.camera = camera
         self.config = config
@@ -93,8 +98,18 @@ class RenderCache:
         self.height = height
         self.P = P  # projection dict from geometry.project_gaussians_batch
         self.prep = prep  # per-Gaussian prepared rasterization data
-        self.tiles = tiles  # per-tile index arrays into prep's sorted order
-        self.internals = None  # optional per-tile compositing intermediates
+        self.internals = None  # optional per-pair compositing intermediates
+        self._tiles = None
+
+    @property
+    def tiles(self) -> list[np.ndarray]:
+        """Per-tile index arrays into prep's sorted order (config.tile_size
+        bins), built on first use; the renderer itself works on pixels."""
+        if self._tiles is None:
+            self._tiles = _build_tiles(
+                self.prep, self.width, self.height, self.config.tile_size
+            )
+        return self._tiles
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +254,166 @@ def _build_tiles(prep, width: int, height: int, tile_size: int) -> list[np.ndarr
     return [np.asarray(slot, dtype=np.int64) for slot in lists]
 
 
+# Bounds the renderer's scratch arrays: candidate pairs per enumeration block
+# in _footprint_pairs and padded entries per block of pixels in _row_scan.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _footprint_pairs(prep, width: int, height: int):
+    """Kept (sorted slot, pixel) pairs, pixel-major and front to back.
+
+    Each Gaussian's candidates are the pixels of the bounding box of its
+    ellipse q <= qcut, whose half-widths are sqrt(qcut * cov2d_xx) and
+    sqrt(qcut * cov2d_yy), padded well beyond their rounding error (the
+    determinant of a near-degenerate footprint loses digits). A candidate
+    is kept by the quadform test of _composite_block on the same
+    arithmetic, so the kept pairs are those a dense pass would keep.
+    Candidates are enumerated over runs of Gaussians holding about
+    _BLOCK_ENTRIES of them (a larger box is a run of its own).
+    Returns (slot, pixel, dx, dy, q), each (n_pairs,).
+    """
+    mx, my, ia, ib, ic = (prep[k] for k in ("mx", "my", "ia", "ib", "ic"))
+    qcut = prep["qcut"]
+    det = ia * ic - ib * ib  # of the inverse covariance
+    rx = np.sqrt(qcut * ic / det) * (1.0 + 1e-6) + 1e-6
+    ry = np.sqrt(qcut * ia / det) * (1.0 + 1e-6) + 1e-6
+    # A non-finite covariance keeps no pair (its q is NaN): empty box.
+    finite = np.isfinite(rx) & np.isfinite(ry)
+    rx, ry = np.where(finite, rx, -1.0), np.where(finite, ry, -1.0)
+    x0 = np.clip(np.ceil(mx - rx), 0.0, float(width)).astype(np.int64)
+    x1 = np.clip(np.floor(mx + rx), -1.0, float(width - 1)).astype(np.int64)
+    y0 = np.clip(np.ceil(my - ry), 0.0, float(height)).astype(np.int64)
+    y1 = np.clip(np.floor(my + ry), -1.0, float(height - 1)).astype(np.int64)
+    nx = np.maximum(x1 - x0 + 1, 0)
+    count = nx * np.maximum(y1 - y0 + 1, 0)
+    ends = np.cumsum(count)
+
+    parts = []
+    lo, n_slots = 0, mx.shape[0]
+    while lo < n_slots:
+        before = ends[lo] - count[lo]
+        stop = np.searchsorted(ends, before + _BLOCK_ENTRIES, side="right")
+        hi = max(int(stop), lo + 1)
+        c = count[lo:hi]
+        slot = np.repeat(np.arange(lo, hi), c)
+        local = np.arange(slot.shape[0]) - np.repeat(np.cumsum(c) - c, c)
+        ly, lx = np.divmod(local, nx[slot])
+        px = x0[slot] + lx
+        py = y0[slot] + ly
+        dx = px.astype(np.float64) - mx[slot]
+        dy = py.astype(np.float64) - my[slot]
+        a, b, d = ia[slot], ib[slot], ic[slot]
+        q = dx * (a * dx + b * dy) + dy * (b * dx + d * dy)
+        keep = q <= qcut[slot]
+        parts.append(
+            (slot[keep], (py * width + px)[keep], dx[keep], dy[keep], q[keep])
+        )
+        lo = hi
+    if not parts:
+        empty = np.zeros(0)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), empty, empty, empty
+    slot, pixel, dx, dy, q = (np.concatenate(col) for col in zip(*parts))
+    # Candidates run slot by slot, so a stable sort by pixel keeps each
+    # pixel's pairs in depth order; 16-bit keys make it a radix sort.
+    key = pixel.astype(np.uint16) if width * height <= 1 << 16 else pixel
+    order = np.argsort(key, kind="stable")
+    return slot[order], pixel[order], dx[order], dy[order], q[order]
+
+
+def _row_blocks(counts):
+    """Blocks of pixels scanned together by _row_scan, as (rows, width).
+
+    Pixels are grouped by pair count between consecutive powers of two, so
+    padding a block to its longest list less than doubles it, and a group
+    is cut into blocks of about _BLOCK_ENTRIES padded entries (at least one
+    pixel each): memory follows the pair count, not pixels x deepest pixel.
+    """
+    group = np.frexp(counts.astype(np.float64))[1]
+    for g in np.unique(group):
+        rows = np.flatnonzero(group == g)
+        width = int(counts[rows].max())
+        step = max(1, _BLOCK_ENTRIES // width)
+        for lo in range(0, rows.shape[0], step):
+            yield rows[lo : lo + step], width
+
+
+def _row_scan(values, starts, counts, fill, scan):
+    """Apply scan along each pixel's pair list; returns per-pair results.
+
+    values are per pair, pixel-major: pixel r's list is
+    values[starts[r] : starts[r] + counts[r]], front to back. Each block of
+    _row_blocks is padded at the end of its rows with fill and passed to
+    scan, which works along axis 1.
+    """
+    out = np.empty_like(values)
+    for rows, width in _row_blocks(counts):
+        c = counts[rows]
+        r = np.repeat(np.arange(rows.shape[0]), c)
+        col = np.arange(r.shape[0]) - np.repeat(np.cumsum(c) - c, c)
+        pair = starts[rows][r] + col
+        block = np.full((rows.shape[0], width), fill)
+        block[r, col] = values[pair]
+        out[pair] = scan(block)[r, col]
+    return out
+
+
+def _composite_pairs(prep, width: int, height: int, config: RenderConfig):
+    """Composite every pixel over its kept pairs only.
+
+    Skipped pairs have alpha exactly 0, a factor of exactly 1 in the
+    transmittance product, so per pixel this reproduces _composite_block's
+    transmittance and weights bit for bit. Returns flat (H*W, 3) rgb,
+    (H*W,) depth and alpha_acc, and the per-pair state render_backward uses
+    (None when no pair is kept).
+    """
+    n_pix = width * height
+    rgb = np.zeros((n_pix, 3))
+    depth = np.zeros(n_pix)
+    alpha_acc = np.zeros(n_pix)
+    slot, pixel, dx, dy, q = _footprint_pairs(prep, width, height)
+    n = slot.shape[0]
+    if n == 0:
+        return rgb, depth, alpha_acc, None
+
+    starts = np.flatnonzero(np.concatenate([[True], pixel[1:] != pixel[:-1]]))
+    counts = np.diff(np.append(starts, n))
+    last = starts + counts - 1
+
+    e = np.exp(-0.5 * q)
+    araw = prep["opacity"][slot] * e
+    a = np.minimum(araw, config.alpha_clamp)
+    T_incl = _row_scan(1.0 - a, starts, counts, 1.0, lambda b: np.cumprod(b, axis=1))
+    T_excl = np.empty(n)
+    T_excl[1:] = T_incl[:-1]
+    T_excl[starts] = 1.0
+    active = T_excl >= config.early_stop_transmittance
+    wgt = np.where(active, T_excl * a, 0.0)
+
+    color = prep["color"][slot]
+    for c in range(3):
+        rgb[:, c] = np.bincount(pixel, weights=wgt * color[:, c], minlength=n_pix)
+    depth[:] = np.bincount(pixel, weights=wgt * prep["dist"][slot], minlength=n_pix)
+    # Transmittance never rises along a pixel's list, so the early stop
+    # freezes it at the first inactive pair, or after the last pair when
+    # every pair stayed active.
+    n_active = np.add.reduceat(active.astype(np.int64), starts)
+    frozen = np.where(
+        n_active < counts,
+        T_excl[np.minimum(starts + n_active, last)],
+        T_incl[last],
+    )
+    alpha_acc[pixel[starts]] = 1.0 - frozen
+
+    state = {
+        "slot": slot, "pixel": pixel, "starts": starts, "counts": counts,
+        "dx": dx, "dy": dy, "e": e, "araw": araw, "a": a,
+        "T_excl": T_excl, "active": active, "wgt": wgt,
+    }
+    return rgb, depth, alpha_acc, state
+
+
 # ---------------------------------------------------------------------------
-# Block compositing (shared by tiled and reference forward passes)
+# Block compositing (the reference forward pass)
 # ---------------------------------------------------------------------------
 
 
@@ -356,41 +529,23 @@ def render_forward(
     image_size=None,
     keep_internals=False,
 ) -> tuple[RenderOutput, RenderCache]:
-    """Tile-based forward pass; the returned cache enables render_backward.
+    """Footprint-pair forward pass; the returned cache enables render_backward.
 
-    keep_internals=True stores each tile's compositing intermediates in the
+    keep_internals=True stores the per-pair compositing intermediates in the
     cache so the backward pass skips its recompute. Worth the memory only
     when a backward pass is certain to follow (the training path).
     """
     width, height = _validate_size(camera, image_size)
     arrays = _as_gaussian_arrays(gaussians)
     P, prep = _prepare(arrays, camera, config)
-    ts = config.tile_size
-    tiles = _build_tiles(prep, width, height, ts)
-
-    rgb = np.zeros((height, width, 3))
-    depth = np.zeros((height, width))
-    alpha_acc = np.zeros((height, width))
-    ntx = -(-width // ts)
-    px_full = np.arange(width, dtype=np.float64)
-    py_full = np.arange(height, dtype=np.float64)
-    internals = [] if keep_internals else None
-    for t, slots in enumerate(tiles):
-        ty, tx = divmod(t, ntx)
-        x0, x1 = tx * ts, min((tx + 1) * ts, width)
-        y0, y1 = ty * ts, min((ty + 1) * ts, height)
-        block = _composite_block(
-            px_full[x0:x1], py_full[y0:y1], prep, slots, config,
-            want_internals=keep_internals,
-        )
-        rgb[y0:y1, x0:x1] = block[0]
-        depth[y0:y1, x0:x1] = block[1]
-        alpha_acc[y0:y1, x0:x1] = block[2]
-        if keep_internals:
-            internals.append(block[3])
-    out = RenderOutput(rgb=rgb, depth=depth, alpha_acc=alpha_acc)
-    cache = RenderCache(arrays, camera, config, width, height, P, prep, tiles)
-    cache.internals = internals
+    rgb, depth, alpha_acc, state = _composite_pairs(prep, width, height, config)
+    out = RenderOutput(
+        rgb=rgb.reshape(height, width, 3),
+        depth=depth.reshape(height, width),
+        alpha_acc=alpha_acc.reshape(height, width),
+    )
+    cache = RenderCache(arrays, camera, config, width, height, P, prep)
+    cache.internals = state if keep_internals else None
     return out, cache
 
 
@@ -400,7 +555,7 @@ def render(
     config: RenderConfig = DEFAULT_CONFIG,
     image_size=None,
 ) -> RenderOutput:
-    """Tile-based rendering; equal to render_reference within 1e-6."""
+    """Footprint-pair rendering; equal to render_reference within 1e-6."""
     out, _ = render_forward(gaussians, camera, config, image_size)
     return out
 
@@ -425,73 +580,55 @@ def render_backward(cache: RenderCache, grad_rgb: np.ndarray, grad_depth: np.nda
 
     prep, config = cache.prep, cache.config
     n_sorted = prep["mx"].shape[0]
-    # Per-sorted-slot accumulators (screen-space quantities).
-    g_mx = np.zeros(n_sorted)
-    g_my = np.zeros(n_sorted)
-    g_ia = np.zeros(n_sorted)
-    g_ib = np.zeros(n_sorted)
-    g_ic = np.zeros(n_sorted)
-    g_op = np.zeros(n_sorted)
-    g_dist = np.zeros(n_sorted)
-    g_color = np.zeros((n_sorted, 3))
+    state = cache.internals
+    if state is None:
+        state = _composite_pairs(prep, W, H, config)[3]
+    if state is None:  # no Gaussian reaches a pixel
+        zero = np.zeros(n_sorted)
+        return _projection_backward(
+            cache, zero, zero, zero, zero, zero, zero, zero, np.zeros((n_sorted, 3))
+        )
 
-    ts = config.tile_size
-    ntx = -(-W // ts)
-    px_full = np.arange(W, dtype=np.float64)
-    py_full = np.arange(H, dtype=np.float64)
-    clamp = config.alpha_clamp
-    for t, slots in enumerate(cache.tiles):
-        if slots.shape[0] == 0:
-            continue
-        ty, tx = divmod(t, ntx)
-        x0, x1 = tx * ts, min((tx + 1) * ts, W)
-        y0, y1 = ty * ts, min((ty + 1) * ts, H)
-        gC = grad_rgb[y0:y1, x0:x1]
-        gD = grad_depth[y0:y1, x0:x1]
-        if not (gC.any() or gD.any()):
-            continue
-        if cache.internals is not None:
-            intern = cache.internals[t]
-        else:
-            _, _, _, intern = _composite_block(
-                px_full[x0:x1], py_full[y0:y1], prep, slots, config,
-                want_internals=True,
-            )
-        a, araw, e = intern["a"], intern["araw"], intern["e"]
-        dx, dy = intern["dx"], intern["dy"]
-        T_excl, active, wgt = intern["T_excl"], intern["active"], intern["wgt"]
-        color = prep["color"][slots]
-        dist = prep["dist"][slots]
-        ia = prep["ia"][slots][:, None, None]
-        ib = prep["ib"][slots][:, None, None]
-        ic = prep["ic"][slots][:, None, None]
+    slot, pixel = state["slot"], state["pixel"]
+    a, araw, e, wgt = state["a"], state["araw"], state["e"], state["wgt"]
+    dx, dy = state["dx"], state["dy"]
+    gC = grad_rgb.reshape(-1, 3)[pixel]  # per pair
+    gD = grad_depth.reshape(-1)[pixel]
+    color = prep["color"][slot]
+    v = np.einsum("pc,pc->p", color, gC) + prep["dist"][slot] * gD
 
-        # dL/dalpha_i = T_i v_i - S_i/(1-alpha_i), S_i the suffix sum of w_k v_k.
-        # When alpha_i = 1 the suffix is exactly zero (everything behind is
-        # fully occluded), so the quotient is defined as zero; those slots are
-        # dropped by the clamp mask anyway.
-        bh, bw = gC.shape[0], gC.shape[1]
-        v = (color @ gC.reshape(bh * bw, 3).T).reshape(-1, bh, bw)
-        v += dist[:, None, None] * gD[None]
-        sw = wgt * v
-        suffix = np.cumsum(sw[::-1], axis=0)[::-1] - sw
-        om = 1.0 - a
-        ratio = np.divide(suffix, om, out=np.zeros_like(suffix), where=om > 0.0)
-        ga = T_excl * v - ratio
-        kept = active & (a > 0.0) & (araw < clamp)
-        ga = np.where(kept, ga, 0.0)
+    # dL/dalpha_i = T_i v_i - S_i/(1-alpha_i), S_i the suffix sum of w_k v_k
+    # along the pixel. When alpha_i = 1 the suffix is exactly zero
+    # (everything behind is fully occluded), so the quotient is defined as
+    # zero; those pairs are dropped by the clamp mask anyway.
+    sw = wgt * v
+    suffix = _row_scan(
+        sw, state["starts"], state["counts"], 0.0,
+        lambda b: np.cumsum(b[:, ::-1], axis=1)[:, ::-1],
+    ) - sw
+    om = 1.0 - a
+    ratio = np.divide(suffix, om, out=np.zeros_like(suffix), where=om > 0.0)
+    ga = state["T_excl"] * v - ratio
+    kept = state["active"] & (a > 0.0) & (araw < config.alpha_clamp)
+    ga = np.where(kept, ga, 0.0)
 
-        gq = -0.5 * ga * a
-        gqdx = gq * dx
-        gqdy = gq * dy
-        g_mx[slots] += -2.0 * (ia * gqdx + ib * gqdy).sum(axis=(1, 2))
-        g_my[slots] += -2.0 * (ib * gqdx + ic * gqdy).sum(axis=(1, 2))
-        g_ia[slots] += (gqdx * dx).sum(axis=(1, 2))
-        g_ib[slots] += 2.0 * (gqdx * dy).sum(axis=(1, 2))
-        g_ic[slots] += (gqdy * dy).sum(axis=(1, 2))
-        g_op[slots] += (ga * e).sum(axis=(1, 2))
-        g_color[slots] += np.einsum("lhw,hwc->lc", wgt, gC)
-        g_dist[slots] += (wgt * gD[None]).sum(axis=(1, 2))
+    # q = ia dx^2 + 2 ib dx dy + ic dy^2, dx = px - mx, dy = py - my.
+    gq = -0.5 * ga * a
+    gqdx = gq * dx
+    gqdy = gq * dy
+    ia, ib, ic = prep["ia"][slot], prep["ib"][slot], prep["ic"][slot]
+
+    def per_slot(weights):
+        return np.bincount(slot, weights=weights, minlength=n_sorted)
+
+    g_mx = -2.0 * per_slot(ia * gqdx + ib * gqdy)
+    g_my = -2.0 * per_slot(ib * gqdx + ic * gqdy)
+    g_ia = per_slot(gqdx * dx)
+    g_ib = 2.0 * per_slot(gqdx * dy)
+    g_ic = per_slot(gqdy * dy)
+    g_op = per_slot(ga * e)
+    g_color = np.stack([per_slot(wgt * gC[:, c]) for c in range(3)], axis=1)
+    g_dist = per_slot(wgt * gD)
 
     return _projection_backward(
         cache, g_mx, g_my, g_ia, g_ib, g_ic, g_op, g_dist, g_color
@@ -530,16 +667,16 @@ def _projection_backward(cache, g_mx, g_my, g_ia, g_ib, g_ic, g_op, g_dist, g_co
     GP[:, 0, 1] = 0.5 * g_ib
     GP[:, 1, 0] = 0.5 * g_ib
     GP[:, 1, 1] = g_ic
-    G2 = -np.einsum("kab,kbc,kcd->kad", P2, GP, P2)
+    G2 = -(P2 @ GP @ P2)
 
     J = P["J"][sel]
     cov_cam = P["cov_cam"][sel]
-    gJ = 2.0 * np.einsum("kab,kbc,kcd->kad", G2, J, cov_cam)
-    g_cov_cam = np.einsum("kai,kab,kbj->kij", J, G2, J)
+    gJ = 2.0 * (G2 @ J @ cov_cam)
+    g_cov_cam = np.transpose(J, (0, 2, 1)) @ G2 @ J
 
     W4 = camera.world_to_camera()
     Rcw = W4[:3, :3]
-    g_cov3d = np.einsum("ai,kab,bj->kij", Rcw, g_cov_cam, Rcw)
+    g_cov3d = Rcw.T @ g_cov_cam @ Rcw
 
     # Camera-frame mean gradients from mean2d, J, and cam_distance.
     t = P["cam_t"][sel]
@@ -565,12 +702,12 @@ def _projection_backward(cache, g_mx, g_my, g_ia, g_ib, g_ic, g_op, g_dist, g_co
     R = P["R"][sel]
     scale = np.asarray(arrays["scale"], dtype=np.float64)[sel]
     # dL/ds_a = 2 s_a r_a^T G r_a (columns r_a of R), with the full G + G^T.
-    col_quad = np.einsum("kij,kia,kja->ka", g_cov3d, R, R)
+    col_quad = (R * (g_cov3d @ R)).sum(axis=1)
     out["scale"][sel] = 2.0 * scale * col_quad
     D = scale**2
-    gR = np.einsum("kij,kjc,kc->kic", Gsym, R, D)
+    gR = (Gsym @ R) * D[:, None, :]
     dRdq = geo.rotation_jacobian_batch(np.asarray(arrays["quat"], dtype=np.float64)[sel])
-    out["quat"][sel] = np.einsum("kij,kcij->kc", gR, dRdq)
+    out["quat"][sel] = (dRdq.reshape(-1, 4, 9) @ gR.reshape(-1, 9, 1))[:, :, 0]
     return out
 
 

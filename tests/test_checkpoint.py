@@ -1,8 +1,11 @@
 """Tests for the binary checkpoint container."""
 
+import os
+
 import numpy as np
 import pytest
 
+from querysplat import checkpoint
 from querysplat.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 
 
@@ -71,3 +74,33 @@ class TestMalformed:
         path.write_bytes(b"")
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(str(path))
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3)})
+        before = path.read_bytes()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                f.write(MAGIC + b"partial")  # the disk fills mid-write
+                f.close()
+                raise OSError("No space left on device")
+            return f
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(str(path), {"w": np.zeros(1000)})
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        np.testing.assert_array_equal(load_checkpoint(str(path))["w"], np.ones(3))
+
+    def test_overwrite_replaces_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), {"w": np.ones(3)})
+        save_checkpoint(str(path), {"v": np.zeros(2)})
+        assert set(load_checkpoint(str(path))) == {"v"}
+        assert os.listdir(tmp_path) == ["model.ckpt"]

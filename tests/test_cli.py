@@ -314,6 +314,31 @@ class TestRender:
         depth = read_pfm(str(out / "render" / "view0.pfm"))
         assert np.all(np.isfinite(depth))
 
+    def test_non_square_views_match_ground_truth_size(self, tmp_path):
+        import querysplat.config as cf
+        doc = dict(TINY, data=dict(TINY["data"], n_scenes=1, image_size=[64, 32]))
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        data = tmp_path / "data"
+        assert run("gen-data", "--config", cfg, "--out-dir", data) == 0
+        scene = sc.load_scene(str(data / "scenes" / "0000" / "scene.bin"))
+        model = pt.build_model(
+            scene.bounds, cf.decoder_config(cf.load_config(str(cfg))), seed=1
+        )
+        ckpt = tmp_path / "fresh.ckpt"
+        save_checkpoint(str(ckpt), model.store.state_dict())
+        out = tmp_path / "o"
+        assert run("render", "--config", cfg, "--checkpoint", ckpt,
+                   "--scene", data / "scenes" / "0000", "--out-dir", out) == 0
+
+        def header(name):
+            with open(out / "render" / name, "rb") as f:
+                return f.read(len(b"P6\n64 32\n"))
+
+        assert header("view0_gt.ppm") == b"P6\n64 32\n"
+        assert header("view0.ppm") == header("view0_gt.ppm")
+        assert read_pfm(str(out / "render" / "view0.pfm")).shape == (32, 64)
+
     def test_mismatched_checkpoint_dims_rejected(self, ws, dataset, pretrained,
                                                  tmp_path, capsys):
         _, cfg = ws
@@ -375,8 +400,13 @@ class TestFinetune:
 
 class TestEval:
     def test_holdout_split_and_mean_row(self, ws, dataset, pretrained, finetuned,
-                                        tmp_path, capsys):
+                                        tmp_path, capsys, monkeypatch):
         _, cfg = ws
+        baked = []
+        bake = sc.bake_ground_truth
+        monkeypatch.setattr(
+            sc, "bake_ground_truth", lambda scene: baked.append(scene) or bake(scene)
+        )
         out = tmp_path / "ev"
         code = run("eval", "--config", cfg, "--data", dataset,
                    "--pretrained", os.path.join(pretrained, "model.ckpt"),
@@ -384,6 +414,7 @@ class TestEval:
                    "--out-dir", out, "--train-fraction", 0.5)
         assert code == 0
         assert "evaluated 1 scene(s)" in capsys.readouterr().out
+        assert len(baked) == 1  # only the scored scene, not the training ones
         lines = read_csv_lines(str(out / "eval.csv"))
         assert lines[0] == "scene,iou_occupied,miou"
         assert len(lines) == 3  # one held-out scene plus the mean row
@@ -391,6 +422,19 @@ class TestEval:
         mean_row = lines[2].split(",")
         assert mean_row[0] == "mean"
         assert float(mean_row[2]) == float(scene_row[2])
+
+        # The held-out scene is the dataset's last; scoring the full set
+        # gives it the same row, byte for byte.
+        full = tmp_path / "full"
+        code = run("eval", "--config", cfg, "--data", dataset,
+                   "--pretrained", os.path.join(pretrained, "model.ckpt"),
+                   "--task", os.path.join(finetuned, "task.ckpt"),
+                   "--out-dir", full)
+        assert code == 0
+        assert len(baked) == 4
+        full_row = read_csv_lines(str(full / "eval.csv"))[3].split(",")
+        assert full_row[0] == "0002"
+        assert full_row[1:] == scene_row[1:]
 
     def test_full_set_scored_when_nothing_held_out(self, ws, dataset, pretrained,
                                                    finetuned, tmp_path):

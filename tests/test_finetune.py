@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_pretrain import tiny_model, tiny_sample
 
 from querysplat import autodiff as ad
@@ -47,9 +49,23 @@ def mlp2_np(store, prefix, x):
     return h @ store[f"{prefix}.w2"].data + store[f"{prefix}.b2"].data
 
 
+def knn_oracle(task_positions, anchor_positions, k):
+    """k-NN by a full stable argsort of the squared distances: the result
+    ft.knn_neighbors must reproduce bit for bit."""
+    tp = np.asarray(task_positions, dtype=np.float64)
+    ap = np.asarray(anchor_positions, dtype=np.float64)
+    d2 = ((tp[:, None, :] - ap[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
+    n = ap.shape[0]
+    if n >= k:
+        return order[:, :k]
+    fill = np.repeat(order[:, :1], k - n, axis=1)
+    return np.concatenate([order, fill], axis=1)
+
+
 def interaction_np(store, positions, feats_t, anchors, feats_a, k):
     """Plain-numpy replica of the local attention block."""
-    neigh = ft.knn_neighbors(positions, anchors[:, :3], k)
+    neigh = knn_oracle(positions, anchors[:, :3], k)
     q = feats_t + mlp2_np(store, "task.interact.pos", positions)
     kv = feats_a @ store["task.interact.adapter.w"].data + mlp2_np(
         store, "task.interact.gk", anchors
@@ -155,9 +171,146 @@ class TestKnnNeighbors:
         with pytest.raises(ValueError):
             ft.knn_neighbors(np.zeros((2, 3)), np.zeros((0, 3)), k=1)
 
+    def test_nan_rows_match_oracle(self):
+        tasks = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.5, 0.5, 0.5]])
+        anchors = np.array([[1.0, 0, 0], [0, np.nan, 0], [0, 0, 1.0], [0.2, 0, 0]])
+        for k in (1, 2, 3, 5):
+            np.testing.assert_array_equal(
+                ft.knn_neighbors(tasks, anchors, k), knn_oracle(tasks, anchors, k)
+            )
+
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError):
             ft.knn_neighbors(np.zeros((2, 3)), np.zeros((3, 3)), k=0)
+
+
+def points(seed, n, snap):
+    """n points in [-1, 1]^3; with snap > 0, rounded to a 1/snap grid so many
+    distances tie exactly."""
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 3))
+    return np.round(pts * snap) / snap if snap else pts
+
+
+def assert_matches_oracle(tasks, anchors, k):
+    got = ft.knn_neighbors(tasks, anchors, k)
+    want = knn_oracle(tasks, anchors, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+class TestKnnMatchesOracle:
+    """The partial-select k-NN against the stable-argsort oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 2 * ft._KNN_CHUNK + 40),
+        n=st.integers(1, 300),
+        k=st.integers(1, 12),
+    )
+    def test_random_anchors(self, seed, m, n, k):
+        assert_matches_oracle(points(seed, m, 0), points(seed + 1, n, 0), k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 2 * ft._KNN_CHUNK + 40),
+        n=st.integers(1, 300),
+        k=st.integers(1, 12),
+        snap=st.sampled_from([1, 2, 4]),
+    )
+    def test_grid_snapped_anchors_with_ties(self, seed, m, n, k, snap):
+        assert_matches_oracle(points(seed, m, snap), points(seed + 1, n, snap), k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 10),
+        extra=st.sampled_from([-3, -1, 0]),
+        snap=st.sampled_from([0, 1]),
+    )
+    def test_fewer_or_exactly_k_anchors(self, seed, k, extra, snap):
+        n = max(1, k + extra)
+        assert_matches_oracle(points(seed, 50, snap), points(seed + 1, n, snap), k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 200),
+        snap=st.sampled_from([0, 1, 2]),
+    )
+    def test_single_neighbour(self, seed, n, snap):
+        assert_matches_oracle(points(seed, 70, snap), points(seed + 1, n, snap), 1)
+
+    @pytest.mark.parametrize("snap", [0, 2])
+    def test_row_count_not_a_multiple_of_the_chunk(self, snap):
+        m = 2 * ft._KNN_CHUNK + 37
+        assert_matches_oracle(points(0, m, snap), points(1, 150, snap), 8)
+
+    def test_voxel_centres_against_coincident_anchors(self):
+        # Task queries on voxel centres and anchors repeated on a coarse
+        # lattice: nearly every row ties at its k-th distance.
+        tasks = ft.voxel_centers(np.array([[-1.0] * 3, [1.0] * 3]), 8)
+        lattice = ft.voxel_centers(np.array([[-1.0] * 3, [1.0] * 3]), 2)
+        anchors = np.repeat(lattice, 5, axis=0)[::-1]
+        for k in (1, 4, 8, 39, 40, 41):
+            assert_matches_oracle(tasks, anchors, k)
+
+
+class TestNeighborAttention:
+    """The fused attention node against the composed ops it replaces."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(4)
+        self.q = rng.normal(size=(7, 5))
+        self.kv = rng.normal(size=(4, 5))
+        # Repeated rows, within and across queries, exercise the scatter.
+        self.neigh = rng.integers(0, 4, size=(7, 3))
+        self.probe = rng.normal(size=(7, 5))
+
+    def composed(self, q, kv):
+        m, d = q.data.shape
+        k = self.neigh.shape[1]
+        kv_n = ad.gather(kv, self.neigh)
+        scores = ad.reduce_sum(ad.reshape(q, (m, 1, d)) * kv_n, axis=2) * (
+            1.0 / np.sqrt(d)
+        )
+        weights = ad.softmax(scores, axis=1)
+        return ad.reduce_sum(ad.reshape(weights, (m, k, 1)) * kv_n, axis=1)
+
+    def grads(self, attend):
+        q, kv = ad.Tensor(self.q.copy()), ad.Tensor(self.kv.copy())
+        out = attend(q, kv)
+        out.backward(self.probe)
+        return out.data, q.grad, kv.grad
+
+    def test_forward_and_gradients_match_composed_ops(self):
+        fused = self.grads(lambda q, kv: ft.neighbor_attention(q, kv, self.neigh))
+        for got, want in zip(fused, self.grads(self.composed)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_gradcheck_queries(self):
+        kv = ad.constant(self.kv)
+
+        def fn(t):
+            out = ft.neighbor_attention(t, kv, self.neigh)
+            return ad.reduce_sum(out * ad.constant(self.probe))
+
+        assert ad.finite_difference_check(fn, self.q) < 1e-5
+
+    def test_gradcheck_keys_values(self):
+        q = ad.constant(self.q)
+
+        def fn(t):
+            out = ft.neighbor_attention(q, t, self.neigh)
+            return ad.reduce_sum(out * ad.constant(self.probe))
+
+        assert ad.finite_difference_check(fn, self.kv) < 1e-5
+
+    def test_single_neighbour_passes_its_row_through(self):
+        neigh = self.neigh[:, :1]
+        out = ft.neighbor_attention(ad.constant(self.q), ad.constant(self.kv), neigh)
+        np.testing.assert_array_equal(out.data, self.kv[neigh[:, 0]])
 
 
 class TestLocalQueryInteraction:
@@ -484,3 +637,71 @@ class TestRunFinetuning:
         first_bytes = log.read_bytes()
         run(log, ckpt)
         assert log.read_bytes() == first_bytes
+
+    @pytest.fixture(scope="class")
+    def two_scenes(self):
+        pairs = [tiny_sample(seed=s, n_views=2, n_objects=2) for s in (3, 4)]
+        scenes, samples = [p[0] for p in pairs], [p[1] for p in pairs]
+        return scenes, samples, tiny_model(scenes[0])
+
+    def fresh_task(self, scene):
+        cfg = ft.InteractionConfig(k=4, pe_hidden=16)
+        return ft.build_task_model(
+            scene.bounds, grid=4, cfg=cfg, d_task=16, d_pre=64, seed=0
+        )
+
+    @pytest.mark.parametrize("total_steps", [2, 3, 7])
+    def test_knn_runs_once_per_scene(self, two_scenes, monkeypatch, total_steps):
+        scenes, samples, model = two_scenes
+        calls = []
+        knn = ft.knn_neighbors
+        monkeypatch.setattr(
+            ft, "knn_neighbors", lambda *args: calls.append(args) or knn(*args)
+        )
+        ft.run_finetuning(
+            self.fresh_task(scenes[0]), model, samples, scenes,
+            total_steps=total_steps, lr=1e-2,
+        )
+        assert len(calls) == len(scenes)
+
+    def test_history_matches_fresh_inference_every_step(self, two_scenes):
+        scenes, samples, model = two_scenes
+        task = self.fresh_task(scenes[0])
+        history = ft.run_finetuning(
+            task, model, samples, scenes, total_steps=5, lr=1e-2
+        )
+
+        # The same loop with nothing carried between steps: a fresh frozen
+        # inference, so a fresh neighbour table, for every call.
+        ref = self.fresh_task(scenes[0])
+        grids = [ft.make_ground_truth_grid(s, ref.grid) for s in scenes]
+        state = pt.OptimizerState(weight_decay=0.01)
+        want = []
+        for step in range(1, 6):
+            i = (step - 1) % len(scenes)
+            loss = ft.finetune_step(
+                ref, ft.infer_frozen(model, samples[i]), grids[i], state, 1e-2
+            )
+            pred = ft.predict_occupancy(ref, ft.infer_frozen(model, samples[i]))
+            per_class, miou = ft.evaluate_iou(pred, grids[i])
+            want.append({"step": step, "loss": loss,
+                         "iou_occupied": per_class.get(1, 0.0), "miou": miou})
+        assert history == want
+        got_state, want_state = task.store.state_dict(), ref.store.state_dict()
+        assert all(got_state[n].tobytes() == want_state[n].tobytes() for n in want_state)
+
+    def test_memo_is_keyed_by_task_values(self, two_scenes):
+        scenes, samples, model = two_scenes
+        frozen = ft.infer_frozen(model, samples[0])
+        task = self.fresh_task(scenes[0])
+        first = ft.predict_occupancy(task, frozen)
+        coarse = ft.build_task_model(
+            scenes[0].bounds, grid=2, cfg=replace(task.cfg, k=2), d_task=16,
+            d_pre=64, seed=0,
+        )
+        # A second task on the same frozen inference gets its own table, and
+        # the first task's predictions do not change.
+        assert ft.predict_occupancy(coarse, frozen).shape == (2, 2, 2)
+        np.testing.assert_array_equal(ft.predict_occupancy(task, frozen), first)
+        want = ft.predict_occupancy(coarse, ft.infer_frozen(model, samples[0]))
+        np.testing.assert_array_equal(ft.predict_occupancy(coarse, frozen), want)

@@ -198,6 +198,124 @@ class TestRenderForward:
         assert np.all(intern["wgt"] >= 0.0)
         np.testing.assert_allclose(intern["wgt"].sum(axis=0), acc, atol=1e-12)
 
+    def _dense_quadform(self, prep, width, height):
+        px = np.arange(width, dtype=np.float64)
+        py = np.arange(height, dtype=np.float64)
+        dx = px[None, None, :] - prep["mx"][:, None, None]
+        dy = py[None, :, None] - prep["my"][:, None, None]
+        ia = prep["ia"][:, None, None]
+        ib = prep["ib"][:, None, None]
+        ic = prep["ic"][:, None, None]
+        return dx * (ia * dx + ib * dy) + dy * (ib * dx + ic * dy)
+
+    def test_footprint_pairs_match_dense_drop_rule(self):
+        rng = np.random.default_rng(5)
+        cam = make_camera(size=(40, 24))
+        for config in (rd.DEFAULT_CONFIG, rd.check_config()):
+            arrays = rd._as_gaussian_arrays(random_scene(rng, 80))
+            _, prep = rd._prepare(arrays, cam, config)
+            q = self._dense_quadform(prep, 40, 24)
+            l_idx, y, x = np.nonzero(q <= prep["qcut"][:, None, None])
+            slot, pixel, dx, dy, qp = rd._footprint_pairs(prep, 40, 24)
+            expected = sorted(zip((y * 40 + x).tolist(), l_idx.tolist()))
+            assert list(zip(pixel.tolist(), slot.tolist())) == expected
+            np.testing.assert_array_equal(qp, q[slot, pixel // 40, pixel % 40])
+            np.testing.assert_array_equal(dx, pixel % 40 - prep["mx"][slot])
+            np.testing.assert_array_equal(dy, pixel // 40 - prep["my"][slot])
+
+    def test_pair_compositing_bit_identical_to_block(self):
+        rng = np.random.default_rng(6)
+        cam = make_camera(size=(32, 32))
+        arrays = rd._as_gaussian_arrays(random_scene(rng, 80))
+        _, prep = rd._prepare(arrays, cam, rd.DEFAULT_CONFIG)
+        px = np.arange(32, dtype=np.float64)
+        slots = np.arange(prep["mx"].shape[0])
+        _, _, acc, intern = rd._composite_block(
+            px, px, prep, slots, rd.DEFAULT_CONFIG, want_internals=True
+        )
+        _, _, acc_pairs, state = rd._composite_pairs(prep, 32, 32, rd.DEFAULT_CONFIG)
+        pixel = state["pixel"]
+        wgt = intern["wgt"].copy()
+        np.testing.assert_array_equal(
+            state["wgt"], wgt[state["slot"], pixel // 32, pixel % 32]
+        )
+        wgt[state["slot"], pixel // 32, pixel % 32] = 0.0
+        assert not wgt.any()  # every other pair has weight exactly 0
+        np.testing.assert_array_equal(acc_pairs.reshape(32, 32), acc)
+
+    def test_backward_same_with_and_without_kept_internals(self):
+        rng = np.random.default_rng(7)
+        scene = random_scene(rng, 50)
+        cam = make_camera()
+        g_rgb = rng.normal(size=(32, 32, 3))
+        g_depth = rng.normal(size=(32, 32))
+        _, kept = rd.render_forward(scene, cam, keep_internals=True)
+        _, recomputed = rd.render_forward(scene, cam)
+        a = rd.render_backward(kept, g_rgb, g_depth)
+        b = rd.render_backward(recomputed, g_rgb, g_depth)
+        for k in a:
+            assert a[k].tobytes() == b[k].tobytes()
+
+    def test_cache_tiles_list_every_kept_pair(self):
+        rng = np.random.default_rng(8)
+        cam = make_camera(size=(40, 24))
+        _, cache = rd.render_forward(random_scene(rng, 60), cam, keep_internals=True)
+        ts = cache.config.tile_size
+        state = cache.internals
+        pixel = state["pixel"]
+        tile = (pixel // 40) // ts * (-(-40 // ts)) + (pixel % 40) // ts
+        for t, s in zip(tile.tolist(), state["slot"].tolist()):
+            assert s in cache.tiles[t]
+
+    def test_row_blocks_bound_padding(self):
+        # One deep pixel among thousands of shallow ones must not pad them all.
+        rng = np.random.default_rng(9)
+        counts = np.concatenate(
+            [rng.integers(1, 4, size=5000), [300], rng.integers(4, 40, size=500)]
+        )
+        seen = []
+        for rows, width in rd._row_blocks(counts):
+            assert width == counts[rows].max()
+            assert width < 2 * counts[rows].min()
+            assert rows.shape[0] * width <= max(rd._BLOCK_ENTRIES, width)
+            seen.append(rows)
+        seen = np.sort(np.concatenate(seen))
+        np.testing.assert_array_equal(seen, np.arange(counts.shape[0]))
+
+    def test_deep_pixel_on_wide_image(self, monkeypatch):
+        # 200 faint, tiny Gaussians on one pixel's ray of a wide view, over
+        # a spread of ordinary ones.
+        rng = np.random.default_rng(10)
+        cam = make_camera(size=(256, 24))
+        t = np.linspace(2.0, 5.0, 200)
+        stack = {
+            "mu": t[:, None] * np.array([0.1, 0.06, 1.0]),  # pixel (130, 13)
+            "quat": np.tile([1.0, 0.0, 0.0, 0.0], (200, 1)),
+            "scale": np.full((200, 3), 0.02),
+            "opacity": np.full(200, 0.02),
+            "color": rng.uniform(size=(200, 3)),
+        }
+        spread = random_scene(rng, 60, spread=4.0)
+        scene = {k: np.concatenate([stack[k], spread[k]]) for k in stack}
+        out, cache = rd.render_forward(scene, cam, keep_internals=True)
+        assert cache.internals["counts"].max() >= 200
+        ref = rd.render_reference(scene, cam)
+        np.testing.assert_allclose(out.rgb, ref.rgb, atol=1e-6)
+        np.testing.assert_allclose(out.depth, ref.depth, atol=1e-6)
+        g_rgb = rng.normal(size=(24, 256, 3))
+        g_depth = rng.normal(size=(24, 256))
+        grads = rd.render_backward(cache, g_rgb, g_depth)
+
+        # Blocks of one pixel (and one Gaussian per enumeration run) give
+        # the same bits.
+        monkeypatch.setattr(rd, "_BLOCK_ENTRIES", 16)
+        small_out, small_cache = rd.render_forward(scene, cam, keep_internals=True)
+        assert small_out.rgb.tobytes() == out.rgb.tobytes()
+        assert small_out.alpha_acc.tobytes() == out.alpha_acc.tobytes()
+        small = rd.render_backward(small_cache, g_rgb, g_depth)
+        for k in grads:
+            assert small[k].tobytes() == grads[k].tobytes()
+
     def test_equal_distance_tie_broken_by_index(self):
         # Two fully-overlapping Gaussians at the same distance: the first by
         # index is composited first, so its color dominates.
