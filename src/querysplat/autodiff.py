@@ -12,7 +12,6 @@ that one finite-difference check per primitive covers the whole engine.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -67,7 +66,6 @@ class NondeterministicError(AutodiffError):
     """Two forward passes of a supposedly pure function disagreed."""
 
 
-_uid_counter = itertools.count()
 _check_finite = False
 
 
@@ -90,7 +88,7 @@ class Tensor:
     ``.grad`` during backward. Intermediate gradients are transient.
     """
 
-    __slots__ = ("data", "grad", "name", "_parents", "_vjp", "_uid")
+    __slots__ = ("data", "grad", "name", "_parents", "_vjp")
 
     def __init__(
         self,
@@ -104,11 +102,8 @@ class Tensor:
         self.name = name
         self._parents = _parents
         self._vjp = _vjp
-        self._uid = next(_uid_counter)
         if _check_finite and not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(
-                f"non-finite values in output of node '{name or 'leaf'}' (uid {self._uid})"
-            )
+            raise NonFiniteError(f"non-finite values in output of node '{name or 'leaf'}'")
 
     # -- introspection -------------------------------------------------
 
@@ -140,8 +135,11 @@ class Tensor:
     def backward(self, seed: np.ndarray | float | None = None) -> None:
         """Backpropagate ``seed`` (default: all-ones) from this node.
 
-        Gradient accumulation order is fixed by node creation order, so
-        two identical runs produce bit-identical gradient buffers.
+        Nodes are visited in reverse of a depth-first topological order of
+        the graph, which depends only on its structure, so two identical runs
+        accumulate gradients in the same order and produce bit-identical
+        buffers. Within one pass nodes are keyed by object identity: every
+        node of the graph is alive until the pass ends, so no two share an id.
         """
         if seed is None:
             seed_arr = np.ones_like(self.data)
@@ -154,9 +152,9 @@ class Tensor:
             )
 
         order = _topological_order(self)
-        grads: dict[int, np.ndarray] = {self._uid: seed_arr}
+        grads: dict[int, np.ndarray] = {id(self): seed_arr}
         for node in reversed(order):
-            g = grads.pop(node._uid, None)
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node._vjp is None:
@@ -168,8 +166,8 @@ class Tensor:
             for parent, pg in zip(node._parents, parts):
                 if pg is None:
                     continue
-                acc = grads.get(parent._uid)
-                grads[parent._uid] = pg if acc is None else acc + pg
+                acc = grads.get(id(parent))
+                grads[id(parent)] = pg if acc is None else acc + pg
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -247,12 +245,12 @@ def _topological_order(root: Tensor) -> list[Tensor]:
         if expanded:
             order.append(node)
             continue
-        if node._uid in visited:
+        if id(node) in visited:
             continue
-        visited.add(node._uid)
+        visited.add(id(node))
         stack.append((node, True))
         for parent in reversed(node._parents):
-            if parent._uid not in visited:
+            if id(parent) not in visited:
                 stack.append((parent, False))
     return order
 

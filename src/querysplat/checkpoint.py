@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import struct
 
 import numpy as np
+
+from .images import _read_exact
 
 __all__ = ["MAGIC", "CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -59,17 +62,13 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
         raise
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: expected {n} bytes for {what}, got {len(data)}")
-    return data
-
-
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
     """Read a checkpoint written by :func:`save_checkpoint`."""
     state: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+        def read(n, what):
+            return _read_exact(f, n, what, CheckpointError)
+
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"bad magic {magic!r}; expected {MAGIC!r}")
@@ -80,14 +79,16 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             if len(head) != 4:
                 raise CheckpointError("truncated checkpoint: partial name length")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, "rank"))
+            try:
+                name = read(name_len, "name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointError(f"parameter name is not UTF-8: {e}") from e
+            (rank,) = struct.unpack("<I", read(4, "rank"))
             shape = tuple(
-                struct.unpack("<I", _read_exact(f, 4, f"shape[{i}] of '{name}'"))[0]
+                struct.unpack("<I", read(4, f"shape[{i}] of '{name}'"))[0]
                 for i in range(rank)
             )
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            raw = _read_exact(f, count * 8, f"data of '{name}'")
+            raw = read(math.prod(shape) * 8, f"data of '{name}'")
             arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
             if name in state:
                 raise CheckpointError(f"duplicate parameter '{name}' in checkpoint")

@@ -267,16 +267,13 @@ def _write_views(model, sample, rcfg, out_dir, with_gt):
     head, _ = dec.decode(
         model.query_set(), pyramid, sample.cameras, model.decoder_cfg, model.store
     )
-    prims = [
-        rd.GaussianPrimitive(
-            mu=head.mu.data[i], scale=head.scale.data[i], quat=head.quat.data[i],
-            opacity=float(head.opacity.data[i]), color=head.color.data[i],
-        )
-        for i in range(head.mu.data.shape[0])
-    ]
+    gaussians = {
+        name: getattr(head, name).data
+        for name in ("mu", "quat", "scale", "opacity", "color")
+    }
     n = 0
     for k, cam in enumerate(sample.cameras):
-        out = rd.render(prims, cam, rcfg)
+        out = rd.render(gaussians, cam, rcfg)
         write_ppm(os.path.join(out_dir, f"view{k}.ppm"), out.rgb)
         write_pfm(os.path.join(out_dir, f"view{k}.pfm"), out.depth)
         n += 2

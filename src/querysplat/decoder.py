@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
-from .geometry import NEAR_PLANE, GaussianPrimitive
+from .geometry import NEAR_PLANE
 
 SCALE_RANGE = (0.001, 0.25)  # fraction of bounds extent
 INIT_SCALE_FRACTION = 0.02
@@ -86,18 +86,6 @@ class DecodedGaussians:
     opacity: ad.Tensor  # (K,)
     color: ad.Tensor  # (K, 3)
     degenerate_quats: int
-
-    def to_primitives(self):
-        return [
-            GaussianPrimitive(
-                mu=self.mu.data[k].copy(),
-                quat=self.quat.data[k].copy(),
-                scale=self.scale.data[k].copy(),
-                opacity=float(self.opacity.data[k]),
-                color=self.color.data[k].copy(),
-            )
-            for k in range(self.mu.data.shape[0])
-        ]
 
 
 def _init_raw_scale_logit():

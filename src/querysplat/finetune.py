@@ -282,13 +282,10 @@ def make_ground_truth_grid(scene, grid=16):
     lo, hi = scene.bounds[0], scene.bounds[1]
     size = (hi - lo) / g
     occ = np.zeros((g, g, g), dtype=np.int64)
-    for prim in scene.gaussians:
-        if prim.opacity <= 0.5:
-            continue
-        if np.any(prim.mu < lo) or np.any(prim.mu > hi):
-            continue
-        idx = np.minimum(((prim.mu - lo) / size).astype(np.int64), g - 1)
-        occ[idx[0], idx[1], idx[2]] = 1
+    mu, opacity = scene.gaussians.mu, scene.gaussians.opacity
+    keep = (opacity > 0.5) & ~np.any((mu < lo) | (mu > hi), axis=1)
+    idx = np.minimum(((mu[keep] - lo) / size).astype(np.int64), g - 1)
+    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = 1
     return occ
 
 

@@ -1,4 +1,4 @@
-"""Gaussian primitive parameterization and camera projection.
+"""Gaussian parameterization and camera projection.
 
 A Gaussian's world covariance follows the scale/rotation factorization
 
@@ -17,20 +17,20 @@ with W the world-to-camera rotation and J the perspective Jacobian
 evaluated at the camera-frame mean (x, y, z). Pixel coordinates sample the
 integer grid: pixel (row i, column j) is the point (x=j, y=i).
 
-Projection is implemented once, vectorized over all Gaussians; the scalar
-entry point is a thin slice of the batch so both agree bitwise.
+A set of K Gaussians is one record array of GAUSSIAN_DTYPE, whose 112-byte
+little-endian record is also the Gaussian row of the SQSSCN1 scene file.
+Projection is implemented once, vectorized over all Gaussians.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "GaussianPrimitive",
+    "GAUSSIAN_DTYPE",
     "Camera",
-    "ProjectedGaussian",
     "NEAR_PLANE",
     "COV2D_REG",
     "quaternion_to_rotation",
@@ -38,38 +38,25 @@ __all__ = [
     "rotation_jacobian_wrt_quaternion",
     "rotation_jacobian_batch",
     "covariance_from_scale_rotation",
-    "project_gaussian",
     "project_gaussians_batch",
     "project_points_batch",
-    "gaussians_to_arrays",
-    "arrays_to_gaussians",
 ]
 
 NEAR_PLANE = 0.01  # meters; camera-frame z at or below this is culled
 COV2D_REG = 0.3  # px^2 added to the cov2d diagonal to keep it invertible
 
 
-@dataclass
-class GaussianPrimitive:
-    """One 3D Gaussian: position, orientation, scale, opacity, color."""
-
-    mu: np.ndarray  # (3,) world meters
-    quat: np.ndarray  # (4,) unit quaternion (w, x, y, z)
-    scale: np.ndarray  # (3,) positive meters
-    opacity: float  # in [0, 1]
-    color: np.ndarray  # (3,) RGB in [0, 1]
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=np.float64).reshape(3)
-        self.quat = np.asarray(self.quat, dtype=np.float64).reshape(4)
-        self.scale = np.asarray(self.scale, dtype=np.float64).reshape(3)
-        self.color = np.clip(np.asarray(self.color, dtype=np.float64).reshape(3), 0.0, 1.0)
-        self.opacity = float(np.clip(self.opacity, 0.0, 1.0))
-        norm = float(np.linalg.norm(self.quat))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"quaternion norm {norm} is not 1 within 1e-9")
-        if np.any(self.scale <= 0.0):
-            raise ValueError(f"scale components must be positive, got {self.scale}")
+# One Gaussian: world mean (m), unit (w, x, y, z) rotation quaternion,
+# positive scales (m), opacity and RGB color in [0, 1].
+GAUSSIAN_DTYPE = np.dtype(
+    [
+        ("mu", "<f8", 3),
+        ("quat", "<f8", 4),
+        ("scale", "<f8", 3),
+        ("opacity", "<f8"),
+        ("color", "<f8", 3),
+    ]
+)
 
 
 @dataclass
@@ -116,18 +103,6 @@ class Camera:
         W[:3, :3] = R.T
         W[:3, 3] = -R.T @ t
         return W
-
-
-@dataclass
-class ProjectedGaussian:
-    """A Gaussian after projection into one camera."""
-
-    mean2d: np.ndarray  # (2,) pixels
-    cov2d: np.ndarray  # (2, 2) symmetric positive definite, px^2
-    cam_distance: float  # Euclidean distance to camera origin, meters
-    opacity: float
-    color: np.ndarray  # (3,)
-    index: int = field(default=0)  # position in the source list (sort tie-break)
 
 
 def quaternion_to_rotation(quat: np.ndarray) -> np.ndarray:
@@ -272,52 +247,3 @@ def project_gaussians_batch(
         "cov_cam": cov_cam,
         "J": J,
     }
-
-
-def project_gaussian(g: GaussianPrimitive, cam: Camera, index: int = 0) -> ProjectedGaussian | None:
-    """Project a single Gaussian; returns None when culled by the near plane."""
-    out = project_gaussians_batch(g.mu[None], g.quat[None], g.scale[None], cam)
-    if not out["valid"][0]:
-        return None
-    return ProjectedGaussian(
-        mean2d=out["mean2d"][0],
-        cov2d=out["cov2d"][0],
-        cam_distance=float(out["cam_distance"][0]),
-        opacity=g.opacity,
-        color=g.color,
-        index=index,
-    )
-
-
-def gaussians_to_arrays(gaussians: list[GaussianPrimitive]) -> dict[str, np.ndarray]:
-    """Stack a primitive list into the flat arrays the renderer consumes."""
-    if not gaussians:
-        return {
-            "mu": np.zeros((0, 3)),
-            "quat": np.zeros((0, 4)),
-            "scale": np.zeros((0, 3)),
-            "opacity": np.zeros((0,)),
-            "color": np.zeros((0, 3)),
-        }
-    return {
-        "mu": np.stack([g.mu for g in gaussians]),
-        "quat": np.stack([g.quat for g in gaussians]),
-        "scale": np.stack([g.scale for g in gaussians]),
-        "opacity": np.array([g.opacity for g in gaussians]),
-        "color": np.stack([g.color for g in gaussians]),
-    }
-
-
-def arrays_to_gaussians(arrays: dict[str, np.ndarray]) -> list[GaussianPrimitive]:
-    """Inverse of :func:`gaussians_to_arrays`."""
-    K = arrays["mu"].shape[0]
-    return [
-        GaussianPrimitive(
-            mu=arrays["mu"][k],
-            quat=arrays["quat"][k],
-            scale=arrays["scale"][k],
-            opacity=float(arrays["opacity"][k]),
-            color=arrays["color"][k],
-        )
-        for k in range(K)
-    ]

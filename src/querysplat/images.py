@@ -19,6 +19,8 @@ missing or malformed piece.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 MASK_MAGIC = b"SQSMSK1"
@@ -29,13 +31,17 @@ class ImageFormatError(ValueError):
     """Raised when an image file is malformed or truncated."""
 
 
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise ImageFormatError(
-            f"truncated file: expected {n} bytes for {what}, got {len(data)}"
-        )
-    return data
+def _read_exact(f, n, what, error=ImageFormatError):
+    """Exactly n bytes of the open binary file f, or raise error.
+
+    A declared size that is negative or larger than the rest of the file is
+    refused before any read, so a forged header cannot ask for a huge buffer.
+    The scene and checkpoint readers pass their own error class.
+    """
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if not 0 <= n <= left:
+        raise error(f"truncated file: {what} needs {n} bytes, {left} remain")
+    return f.read(n)
 
 
 def _read_token(f, what):

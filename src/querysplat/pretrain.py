@@ -281,6 +281,27 @@ def load_train_state(model, state):
     return opt
 
 
+def _open_log(log_path, start):
+    """The loss log opened for appending the rows of steps start and on.
+
+    A run from step 1 starts a new log. A resumed run keeps an existing
+    log's header and its rows of the steps before start, so resuming into
+    the run's own directory leaves the log an uninterrupted run writes.
+    """
+    if start == 1 or not os.path.exists(log_path):
+        return open(log_path, "w", newline="")
+    keep = 0
+    with open(log_path, "r+b") as f:
+        for i, line in enumerate(f):
+            step = line.split(b",", 1)[0]
+            earlier = line.endswith(b"\n") and step.isdigit() and int(step) < start
+            if i > 0 and not earlier:
+                break
+            keep += len(line)
+        f.truncate(keep)
+    return open(log_path, "a", newline="")
+
+
 def run_pretraining(
     model,
     samples,
@@ -300,7 +321,8 @@ def run_pretraining(
 ):
     """The training loop: scheduled AdamW over a cycle of baked samples.
 
-    Writes `step,loss,lr` CSV rows when log_path is given; emits SQSCKPT1
+    Writes `step,loss,lr` CSV rows when log_path is given (a resumed run
+    keeps the rows of an existing log up to its checkpoint); emits SQSCKPT1
     training checkpoints (parameters + optimizer) every `checkpoint_every`
     steps and always at the end when checkpoint_path is given. When
     checkpoint_dir is also given, each periodic checkpoint is additionally
@@ -320,12 +342,13 @@ def run_pretraining(
         opt = OptimizerState(weight_decay=weight_decay)
         start = 1
     losses = []
-    log_file = open(log_path, "w", newline="") if log_path else None
+    log_file = _open_log(log_path, start) if log_path else None
     try:
         writer = None
         if log_file is not None:
             writer = csv.writer(log_file, lineterminator="\n")
-            writer.writerow(["step", "loss", "lr"])
+            if log_file.tell() == 0:
+                writer.writerow(["step", "loss", "lr"])
         for step in range(start, total_steps + 1):
             sample = samples[(step - 1) % len(samples)]
             flip = False
@@ -343,6 +366,8 @@ def run_pretraining(
                 and checkpoint_every > 0
                 and step % checkpoint_every == 0
             ):
+                if log_file is not None:
+                    log_file.flush()  # a resume keeps the rows up to here
                 state = train_state_dict(model, opt)
                 save_checkpoint(checkpoint_path, state)
                 if checkpoint_dir is not None:

@@ -23,6 +23,10 @@ test; everything outside the box is below the drop floor, so it only skips
 exact no-ops, and each pixel composites its kept pairs in depth order. The
 reference path visits every Gaussian at every pixel.
 
+Every entry point takes the Gaussians as anything whose fields mu, quat,
+scale, opacity and color index by name: a geometry.GAUSSIAN_DTYPE record
+array, or a dict of (K, ...) arrays such as render_node builds.
+
 ``render_backward`` is a hand-derived analytic adjoint of the full pipeline
 (compositing, Gaussian footprint, projection, covariance construction); it is
 validated against central finite differences with thresholds disabled.
@@ -36,14 +40,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
-from .geometry import Camera, GaussianPrimitive, ProjectedGaussian
+from .geometry import Camera
 
 __all__ = [
     "RenderConfig",
     "RenderOutput",
     "RenderCache",
     "check_config",
-    "pixel_alpha",
     "alpha_composite",
     "render",
     "render_reference",
@@ -135,20 +138,6 @@ def _quad_cutoff(opacity: np.ndarray, floor: float) -> np.ndarray:
     return np.where(op <= eff, -np.inf, cut)
 
 
-def pixel_alpha(pg: ProjectedGaussian, pixel: np.ndarray, config: RenderConfig = DEFAULT_CONFIG) -> float:
-    """Per-Gaussian contribution alpha at one pixel, with clamp and floor."""
-    ia, ib, ic = _invert_cov2d(pg.cov2d[None])
-    dx = float(pixel[0]) - pg.mean2d[0]
-    dy = float(pixel[1]) - pg.mean2d[1]
-    q = dx * (ia[0] * dx + ib[0] * dy) + dy * (ib[0] * dx + ic[0] * dy)
-    a = pg.opacity * np.exp(-0.5 * q)
-    a = min(a, config.alpha_clamp)
-    cut = _quad_cutoff(np.array([pg.opacity]), config.contribution_floor)[0]
-    if q > cut:
-        return 0.0
-    return float(a)
-
-
 def alpha_composite(
     contributions,
     config: RenderConfig = DEFAULT_CONFIG,
@@ -186,13 +175,7 @@ def alpha_composite(
 # ---------------------------------------------------------------------------
 
 
-def _as_gaussian_arrays(gaussians) -> dict[str, np.ndarray]:
-    if isinstance(gaussians, dict):
-        return gaussians
-    return geo.gaussians_to_arrays(list(gaussians))
-
-
-def _prepare(arrays: dict[str, np.ndarray], camera: Camera, config: RenderConfig):
+def _prepare(arrays, camera: Camera, config: RenderConfig):
     """Project, threshold, and depth-sort; returns (projection, prep dict)."""
     P = geo.project_gaussians_batch(arrays["mu"], arrays["quat"], arrays["scale"], camera)
     opacity = np.asarray(arrays["opacity"], dtype=np.float64)
@@ -503,8 +486,7 @@ def render_reference(
 ) -> RenderOutput:
     """Brute-force oracle: every Gaussian at every pixel, no tiling."""
     width, height = _validate_size(camera, image_size)
-    arrays = _as_gaussian_arrays(gaussians)
-    _, prep = _prepare(arrays, camera, config)
+    _, prep = _prepare(gaussians, camera, config)
     slots = np.arange(prep["mx"].shape[0], dtype=np.int64)
 
     rgb = np.zeros((height, width, 3))
@@ -536,15 +518,14 @@ def render_forward(
     when a backward pass is certain to follow (the training path).
     """
     width, height = _validate_size(camera, image_size)
-    arrays = _as_gaussian_arrays(gaussians)
-    P, prep = _prepare(arrays, camera, config)
+    P, prep = _prepare(gaussians, camera, config)
     rgb, depth, alpha_acc, state = _composite_pairs(prep, width, height, config)
     out = RenderOutput(
         rgb=rgb.reshape(height, width, 3),
         depth=depth.reshape(height, width),
         alpha_acc=alpha_acc.reshape(height, width),
     )
-    cache = RenderCache(arrays, camera, config, width, height, P, prep)
+    cache = RenderCache(gaussians, camera, config, width, height, P, prep)
     cache.internals = state if keep_internals else None
     return out, cache
 

@@ -15,11 +15,16 @@ Scene container file (all fields little-endian):
     N       uint32   number of cameras
     bounds  6 float64  (xmin, ymin, zmin, xmax, ymax, zmax)
     seed    uint64
-    gauss   K * 14 float64  rows of (mu[3], quat[4], scale[3], opacity, color[3])
+    gauss   K records of geometry.GAUSSIAN_DTYPE, 112 bytes each:
+            float64 mu[3], quat[4], scale[3], opacity, color[3]
     per camera:
         intrinsics  9 float64 (row-major 3x3)
         extrinsics 16 float64 (row-major 4x4)
         image size  2 uint32 (width, height)
+
+A file whose Gaussians break a Scene's rules (unit quaternions, positive
+scales, means inside the bounds, opacity and color in [0, 1]) is rejected
+like a malformed one, with SceneFormatError.
 """
 
 from __future__ import annotations
@@ -29,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import renderer
-from .geometry import Camera, arrays_to_gaussians, gaussians_to_arrays
+from .geometry import GAUSSIAN_DTYPE, Camera
+from .images import _read_exact
 
 SCENE_MAGIC = b"SQSSCN1"
 SCENE_VERSION = 1
-
-_GAUSS_COLS = 14  # mu(3) quat(4) scale(3) opacity(1) color(3)
 
 
 class SceneFormatError(ValueError):
@@ -43,9 +47,13 @@ class SceneFormatError(ValueError):
 
 @dataclass
 class Scene:
-    """Ground-truth Gaussians, cameras, bounds, and the generating seed."""
+    """Ground-truth Gaussians, cameras, bounds, and the generating seed.
 
-    gaussians: list
+    gaussians is a (K,) record array of GAUSSIAN_DTYPE; each field reads as
+    an attribute (``scene.gaussians.mu`` is (K, 3)) or by name.
+    """
+
+    gaussians: np.recarray
     cameras: list
     bounds: np.ndarray  # (2, 3): [min_corner, max_corner]
     seed: int
@@ -56,12 +64,27 @@ class Scene:
             raise ValueError(f"degenerate bounds: {self.bounds.tolist()}")
         if len(self.cameras) < 1:
             raise ValueError("scene needs at least one camera")
-        for i, g in enumerate(self.gaussians):
-            if np.any(g.mu < self.bounds[0]) or np.any(g.mu > self.bounds[1]):
-                raise ValueError(f"gaussian {i} mean {g.mu.tolist()} outside bounds")
+        g = np.asarray(self.gaussians, dtype=GAUSSIAN_DTYPE).reshape(-1).view(np.recarray)
+        self.gaussians = g
+        # Each check is false for NaN, so a NaN field is rejected too.
+        checks = [
+            ("quaternion norm is not 1 within 1e-9",
+             np.abs(np.linalg.norm(g.quat, axis=1) - 1.0) <= 1e-9),
+            ("scale is not positive", np.all(g.scale > 0.0, axis=1)),
+            ("mean is outside bounds",
+             np.all((g.mu >= self.bounds[0]) & (g.mu <= self.bounds[1]), axis=1)),
+            ("opacity is outside [0, 1]", (g.opacity >= 0.0) & (g.opacity <= 1.0)),
+            ("color is outside [0, 1]",
+             np.all((g.color >= 0.0) & (g.color <= 1.0), axis=1)),
+        ]
+        for what, ok in checks:
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValueError(f"gaussian {i}: {what}: {g[i]}")
 
     def arrays(self):
-        return gaussians_to_arrays(self.gaussians)
+        """The Gaussians, whose fields the renderer reads by name."""
+        return self.gaussians
 
     @property
     def extent(self):
@@ -178,8 +201,9 @@ def generate_scene(spec, seed):
     extent = bounds[1] - bounds[0]
     min_extent = float(extent.min())
 
-    mus, quats, scales, opacities, colors = [], [], [], [], []
-    for _ in range(n_objects):
+    gaussians = np.recarray(n_objects * points_per_object, dtype=GAUSSIAN_DTYPE)
+    for i in range(n_objects):
+        g = gaussians[i * points_per_object : (i + 1) * points_per_object]
         is_sphere = rng.uniform() < 0.5
         radius = rng.uniform(0.08, 0.18) * min_extent
         # Keep the whole object strictly inside the bounds.
@@ -190,26 +214,17 @@ def generate_scene(spec, seed):
             unit = _sample_sphere_surface(rng, points_per_object)
         else:
             unit = _sample_box_surface(rng, points_per_object)
-        mus.append(center + radius * unit)
+        g.mu = center + radius * unit
         q = rng.normal(size=(points_per_object, 4))
-        quats.append(q / np.linalg.norm(q, axis=1, keepdims=True))
-        scales.append(
-            rng.uniform(0.25, 0.6, size=(points_per_object, 3)) * radius
-        )
-        opacities.append(rng.uniform(0.6, 1.0, size=points_per_object))
+        g.quat = q / np.linalg.norm(q, axis=1, keepdims=True)
+        g.scale = rng.uniform(0.25, 0.6, size=(points_per_object, 3)) * radius
+        g.opacity = rng.uniform(0.6, 1.0, size=points_per_object)
         base_color = rng.uniform(size=3)
         jitter = rng.uniform(-0.08, 0.08, size=(points_per_object, 3))
-        colors.append(np.clip(base_color + jitter, 0.0, 1.0))
+        g.color = np.clip(base_color + jitter, 0.0, 1.0)
 
-    arrays = {
-        "mu": np.concatenate(mus),
-        "quat": np.concatenate(quats),
-        "scale": np.concatenate(scales),
-        "opacity": np.concatenate(opacities),
-        "color": np.concatenate(colors),
-    }
     return Scene(
-        gaussians=arrays_to_gaussians(arrays),
+        gaussians=gaussians,
         cameras=_ring_cameras(bounds, n_views, image_size),
         bounds=bounds,
         seed=int(seed),
@@ -249,38 +264,16 @@ def sparsify_depth(sample, keep_rate, seed):
     )
 
 
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise SceneFormatError(
-            f"truncated scene file: expected {n} bytes for {what}, got {len(data)}"
-        )
-    return data
-
-
 def save_scene(path, scene):
     """Write a Scene to the SQSSCN1 container format."""
-    arrays = scene.arrays()
-    K = arrays["mu"].shape[0]
-    rows = np.concatenate(
-        [
-            arrays["mu"],
-            arrays["quat"],
-            arrays["scale"],
-            arrays["opacity"][:, None],
-            arrays["color"],
-        ],
-        axis=1,
-    )
-    assert rows.shape == (K, _GAUSS_COLS)
     with open(path, "wb") as f:
         f.write(SCENE_MAGIC)
         f.write(bytes([SCENE_VERSION]))
-        f.write(np.uint32(K).tobytes())
+        f.write(np.uint32(len(scene.gaussians)).tobytes())
         f.write(np.uint32(len(scene.cameras)).tobytes())
         f.write(scene.bounds.astype("<f8").tobytes())
         f.write(np.uint64(scene.seed).tobytes())
-        f.write(rows.astype("<f8").tobytes())
+        f.write(scene.gaussians.tobytes())
         for cam in scene.cameras:
             f.write(np.asarray(cam.intrinsics, dtype="<f8").tobytes())
             f.write(np.asarray(cam.extrinsics, dtype="<f8").tobytes())
@@ -290,50 +283,39 @@ def save_scene(path, scene):
 def load_scene(path):
     """Read a Scene from the SQSSCN1 container format."""
     with open(path, "rb") as f:
-        magic = _read_exact(f, len(SCENE_MAGIC), "magic")
+        def read(n, what):
+            return _read_exact(f, n, what, SceneFormatError)
+
+        magic = read(len(SCENE_MAGIC), "magic")
         if magic != SCENE_MAGIC:
             raise SceneFormatError(f"not a scene file: magic {magic!r}")
-        version = _read_exact(f, 1, "version byte")[0]
+        version = read(1, "version byte")[0]
         if version != SCENE_VERSION:
             raise SceneFormatError(
                 f"unsupported scene version {version} (want {SCENE_VERSION})"
             )
-        K = int(np.frombuffer(_read_exact(f, 4, "gaussian count"), "<u4")[0])
-        n_views = int(np.frombuffer(_read_exact(f, 4, "camera count"), "<u4")[0])
-        bounds = np.frombuffer(_read_exact(f, 48, "bounds"), "<f8").reshape(2, 3)
-        seed = int(np.frombuffer(_read_exact(f, 8, "seed"), "<u8")[0])
-        rows = np.frombuffer(
-            _read_exact(f, K * _GAUSS_COLS * 8, "gaussian records"), "<f8"
-        ).reshape(K, _GAUSS_COLS)
+        K = int(np.frombuffer(read(4, "gaussian count"), "<u4")[0])
+        n_views = int(np.frombuffer(read(4, "camera count"), "<u4")[0])
+        bounds = np.frombuffer(read(48, "bounds"), "<f8").reshape(2, 3)
+        seed = int(np.frombuffer(read(8, "seed"), "<u8")[0])
+        gaussians = np.frombuffer(
+            read(K * GAUSSIAN_DTYPE.itemsize, "gaussian records"), GAUSSIAN_DTYPE, count=K
+        ).copy()
         cameras = []
         for k in range(n_views):
-            intr = np.frombuffer(
-                _read_exact(f, 72, f"camera {k} intrinsics"), "<f8"
-            ).reshape(3, 3)
-            extr = np.frombuffer(
-                _read_exact(f, 128, f"camera {k} extrinsics"), "<f8"
-            ).reshape(4, 4)
-            size = np.frombuffer(_read_exact(f, 8, f"camera {k} image size"), "<u4")
-            cameras.append(
-                Camera(
-                    intrinsics=intr.copy(),
-                    extrinsics=extr.copy(),
-                    image_size=(int(size[0]), int(size[1])),
-                )
-            )
+            intr = np.frombuffer(read(72, f"camera {k} intrinsics"), "<f8").reshape(3, 3)
+            extr = np.frombuffer(read(128, f"camera {k} extrinsics"), "<f8").reshape(4, 4)
+            size = np.frombuffer(read(8, f"camera {k} image size"), "<u4")
+            cameras.append((intr.copy(), extr.copy(), (int(size[0]), int(size[1]))))
         trailing = f.read(1)
         if trailing:
             raise SceneFormatError("trailing bytes after last camera record")
-    arrays = {
-        "mu": rows[:, 0:3].copy(),
-        "quat": rows[:, 3:7].copy(),
-        "scale": rows[:, 7:10].copy(),
-        "opacity": rows[:, 10].copy(),
-        "color": rows[:, 11:14].copy(),
-    }
-    return Scene(
-        gaussians=arrays_to_gaussians(arrays),
-        cameras=cameras,
-        bounds=bounds.copy(),
-        seed=seed,
-    )
+    try:
+        return Scene(
+            gaussians=gaussians,
+            cameras=[Camera(*cam) for cam in cameras],
+            bounds=bounds.copy(),
+            seed=seed,
+        )
+    except ValueError as e:
+        raise SceneFormatError(f"invalid scene in {path}: {e}") from e

@@ -159,8 +159,7 @@ class TestAcceptance:
         rng = np.random.default_rng(3)
         scene = random_scene(rng, 40)
         cam = make_camera(fx=40.0, fy=40.0, size=(64, 64))
-        arrays = rd._as_gaussian_arrays(scene)
-        _, prep = rd._prepare(arrays, cam, rd.DEFAULT_CONFIG)
+        _, prep = rd._prepare(scene, cam, rd.DEFAULT_CONFIG)
         slots = np.arange(prep["mx"].shape[0])
         px = np.arange(64, dtype=np.float64)
         py = np.arange(64, dtype=np.float64)

@@ -1,5 +1,8 @@
 """Tests for the reverse-mode autodiff engine."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +146,30 @@ class TestBackwardValues:
         g1 = grad_for(1.0)
         g2 = grad_for(2.0)
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
+
+
+class TestCopiedTensors:
+    """A copied leaf is a new node: backward keeps the two apart."""
+
+    @pytest.mark.parametrize(
+        "clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_copy_gets_its_own_gradient(self, clone):
+        a = Tensor(np.array([1.0, 2.0, 3.0]))
+        b = clone(a)
+        b.data = b.data * 10.0
+        ad.reduce_sum(ad.mul(a, b)).backward()
+        np.testing.assert_array_equal(a.grad, b.data)
+        np.testing.assert_array_equal(b.grad, a.data)
+
+    def test_non_finite_error_names_the_node(self):
+        ad.set_check_finite(True)
+        try:
+            with pytest.raises(ad.NonFiniteError, match="node 'log'"), np.errstate(divide="ignore"):
+                ad.log(Tensor([0.0]))
+        finally:
+            ad.set_check_finite(False)
 
 
 class TestGradcheckPerPrimitive:

@@ -1,6 +1,7 @@
 """Tests for the binary checkpoint container."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -67,6 +68,25 @@ class TestMalformed:
         # Cut inside the record header (magic is 8 bytes, name length is 4).
         path.write_bytes(full[: len(MAGIC) + 2])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_forged_shape_header(self, tmp_path):
+        # A (2^32 - 1, 2^32 - 1) shape declares far more data than the file
+        # holds; the count is exact in Python ints and refused before a read.
+        path = tmp_path / "f.bin"
+        save_checkpoint(str(path), {"w": np.ones((2, 2))})
+        data = bytearray(path.read_bytes())
+        shape_at = len(MAGIC) + 4 + 1 + 4
+        data[shape_at : shape_at + 8] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="data of 'w' needs"):
+            load_checkpoint(str(path))
+
+    def test_non_utf8_name(self, tmp_path):
+        path = tmp_path / "n.bin"
+        path.write_bytes(MAGIC + struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0)
+                         + struct.pack("<d", 1.0))
+        with pytest.raises(CheckpointError, match="UTF-8"):
             load_checkpoint(str(path))
 
     def test_empty_file(self, tmp_path):

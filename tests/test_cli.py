@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -162,6 +161,53 @@ class TestUsageAndExitCodes:
         assert resolved["seed"] == 5
 
 
+class TestForgedHeaders:
+    """A header declaring more data than its file holds exits 1, naming it."""
+
+    def forged_copy(self, dataset, tmp_path, name, offset, value):
+        src = os.path.join(dataset, "scenes", "0000")
+        dst = tmp_path / "data" / "scenes" / "0000"
+        os.makedirs(dst)
+        for f in os.listdir(src):
+            with open(os.path.join(src, f), "rb") as fh:
+                data = bytearray(fh.read())
+            if f == name:
+                data[offset : offset + len(value)] = value
+            (dst / f).write_bytes(bytes(data))
+        return tmp_path / "data"
+
+    def test_scene_gaussian_count(self, ws, dataset, tmp_path, capsys):
+        _, cfg = ws
+        data = self.forged_copy(dataset, tmp_path, "scene.bin", 8,
+                                np.uint32(2**32 - 1).tobytes())
+        code = run("pretrain", "--config", cfg, "--data", data, "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert "gaussian records needs" in capsys.readouterr().err
+
+    def test_mask_size(self, ws, dataset, tmp_path, capsys):
+        _, cfg = ws
+        data = self.forged_copy(dataset, tmp_path, "mask1.bin", 8,
+                                np.uint32(2**32 - 1).tobytes() * 2)
+        code = run("pretrain", "--config", cfg, "--data", data, "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert "mask data needs" in capsys.readouterr().err
+
+    def test_checkpoint_shape(self, ws, dataset, pretrained, tmp_path, capsys):
+        _, cfg = ws
+        with open(os.path.join(pretrained, "model.ckpt"), "rb") as fh:
+            ckpt = bytearray(fh.read())
+        (name_len,) = np.frombuffer(ckpt[8:12], "<u4")
+        shape_at = 8 + 4 + int(name_len) + 4
+        ckpt[shape_at : shape_at + 4] = np.uint32(2**32 - 1).tobytes()
+        forged = tmp_path / "forged.ckpt"
+        forged.write_bytes(bytes(ckpt))
+        code = run("render", "--config", cfg, "--checkpoint", forged,
+                   "--scene", os.path.join(dataset, "scenes", "0000"),
+                   "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert "needs" in capsys.readouterr().err
+
+
 class TestGenData:
     def test_writes_expected_layout(self, dataset):
         scenes = sorted(os.listdir(os.path.join(dataset, "scenes")))
@@ -252,6 +298,23 @@ class TestPretrain:
             want = f.read()
         with open(out / "model.ckpt", "rb") as f:
             assert f.read() == want
+
+    def test_resume_into_own_out_dir_keeps_the_log(self, ws, dataset, pretrained,
+                                                   tmp_path):
+        # The run's own directory holds the log of all 6 steps, with the
+        # last row cut short as by a kill; resuming from step 3 must leave
+        # the uninterrupted run's loss.csv, byte for byte.
+        _, cfg = ws
+        out = tmp_path / "again"
+        os.makedirs(out)
+        with open(os.path.join(pretrained, "loss.csv"), "rb") as f:
+            full = f.read()
+        (out / "loss.csv").write_bytes(full[:-5])
+        mid = os.path.join(pretrained, "checkpoints", "step000003.ckpt")
+        code = run("pretrain", "--config", cfg, "--data", dataset,
+                   "--out-dir", out, "--resume", mid)
+        assert code == 0
+        assert (out / "loss.csv").read_bytes() == full
 
     def test_hundred_step_smoke_run_decreases_loss(self, ws, dataset, tmp_path):
         _, cfg = ws
@@ -470,7 +533,8 @@ class TestEval:
         base = sc.load_scene(
             os.path.join(pretrained, "..", "data", "scenes", "0000", "scene.bin")
         )
-        faint = [replace(g, opacity=0.3) for g in base.gaussians]
+        faint = base.gaussians.copy()
+        faint.opacity = 0.3
         scene = sc.Scene(
             gaussians=faint, cameras=base.cameras, bounds=base.bounds, seed=0
         )

@@ -402,15 +402,15 @@ class TestGaussianHead:
         rng = np.random.default_rng(22)
         anchors = rng.normal(size=(50, 11)) * 5.0
         head = dec.gaussian_head(self._qs(anchors, rng.normal(size=(50, 64))), self._store())
-        prims = head.to_primitives()
-        assert len(prims) == 50
+        g = {n: getattr(head, n).data for n in ("mu", "quat", "scale", "opacity", "color")}
+        assert g["mu"].shape == (50, 3)
         extent = np.linalg.norm(BOUNDS[1] - BOUNDS[0])
-        for p in prims:
-            assert np.all(p.mu >= BOUNDS[0]) and np.all(p.mu <= BOUNDS[1])
-            assert np.all(p.scale >= 0.001 * extent - 1e-12)
-            assert np.all(p.scale <= 0.25 * extent + 1e-12)
-            assert 0.0 <= p.opacity <= 1.0
-            assert abs(np.linalg.norm(p.quat) - 1.0) < 1e-9
+        assert np.all(g["mu"] >= BOUNDS[0]) and np.all(g["mu"] <= BOUNDS[1])
+        assert np.all(g["scale"] >= 0.001 * extent - 1e-12)
+        assert np.all(g["scale"] <= 0.25 * extent + 1e-12)
+        assert np.all((g["opacity"] >= 0.0) & (g["opacity"] <= 1.0))
+        assert np.all((g["color"] >= 0.0) & (g["color"] <= 1.0))
+        assert np.all(np.abs(np.linalg.norm(g["quat"], axis=1) - 1.0) < 1e-9)
 
 
 class TestRefineAndDecode:

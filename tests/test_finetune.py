@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_geometry import gaussian_records
 from test_pretrain import tiny_model, tiny_sample
 
 from querysplat import autodiff as ad
@@ -16,7 +17,6 @@ from querysplat import finetune as ft
 from querysplat import pretrain as pt
 from querysplat import scenes as sc
 from querysplat.checkpoint import load_checkpoint
-from querysplat.geometry import GaussianPrimitive
 
 
 def small_task(grid=2, d_task=8, d_pre=8, k=3, pe_hidden=6, seed=0):
@@ -452,10 +452,10 @@ class TestVoxelGrid:
 
     def scene_with(self, gaussians, bounds):
         base, _ = tiny_sample(seed=3, n_views=1)
-        return replace(base, gaussians=gaussians, bounds=np.asarray(bounds))
+        return replace(base, gaussians=np.concatenate(gaussians), bounds=np.asarray(bounds))
 
     def prim(self, mu, opacity):
-        return GaussianPrimitive(
+        return gaussian_records(
             mu=mu, quat=[1, 0, 0, 0], scale=[0.1] * 3, opacity=opacity,
             color=[0.5] * 3,
         )
@@ -490,6 +490,35 @@ class TestVoxelGrid:
         occ = ft.make_ground_truth_grid(scene, grid=4)
         assert occ.reshape(-1)[13] == 1
         assert occ.sum() == 1
+
+
+def ground_truth_grid_oracle(scene, grid):
+    """Per-Gaussian loop form of make_ground_truth_grid's rule."""
+    lo, hi = scene.bounds
+    size = (hi - lo) / grid
+    occ = np.zeros((grid,) * 3, dtype=np.int64)
+    for g in scene.gaussians:
+        if g.opacity <= 0.5 or np.any(g.mu < lo) or np.any(g.mu > hi):
+            continue
+        idx = np.minimum(((g.mu - lo) / size).astype(np.int64), grid - 1)
+        occ[idx[0], idx[1], idx[2]] = 1
+    return occ
+
+
+class TestGroundTruthGridOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_loop(self, seed):
+        spec = {"n_objects": 3, "bounds": [[-1.0, -2.0, 0.0], [1.0, 2.0, 1.5]],
+                "n_views": 1, "image_size": (8, 8)}
+        scene = sc.generate_scene(spec, seed=seed)
+        # Opacities straddling the 0.5 cut and means on the upper faces.
+        scene.gaussians.opacity[::3] = 0.5
+        scene.gaussians.opacity[1::7] = np.nextafter(0.5, 1.0)
+        scene.gaussians.mu[::5] = scene.bounds[1]
+        for grid in (1, 4, 16):
+            np.testing.assert_array_equal(
+                ft.make_ground_truth_grid(scene, grid), ground_truth_grid_oracle(scene, grid)
+            )
 
 
 class TestEvaluateIoU:

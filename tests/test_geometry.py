@@ -1,10 +1,48 @@
 """Tests for Gaussian parameterization and camera projection."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from querysplat import geometry as geo
-from querysplat.geometry import Camera, GaussianPrimitive
+from querysplat import scenes as sc
+from querysplat.geometry import Camera
+
+
+def gaussian_records(mu, quat, scale, opacity, color):
+    """A GAUSSIAN_DTYPE record array; each field broadcasts over K = len(mu)."""
+    mu = np.asarray(mu, dtype=np.float64).reshape(-1, 3)
+    g = np.zeros(mu.shape[0], dtype=geo.GAUSSIAN_DTYPE).view(np.recarray)
+    g.mu, g.quat, g.scale, g.opacity, g.color = mu, quat, scale, opacity, color
+    return g
+
+
+@dataclass
+class ProjectedGaussian:
+    """Scalar oracle: one Gaussian after projection into one camera."""
+
+    mean2d: np.ndarray  # (2,) pixels
+    cov2d: np.ndarray  # (2, 2) symmetric positive definite, px^2
+    cam_distance: float  # Euclidean distance to camera origin, meters
+    opacity: float
+    color: np.ndarray  # (3,)
+    index: int = 0  # position in the source set (sort tie-break)
+
+
+def project_gaussian(g, cam, index=0):
+    """Project one Gaussian record; None when culled by the near plane."""
+    out = geo.project_gaussians_batch(g.mu[None], g.quat[None], g.scale[None], cam)
+    if not out["valid"][0]:
+        return None
+    return ProjectedGaussian(
+        mean2d=out["mean2d"][0],
+        cov2d=out["cov2d"][0],
+        cam_distance=float(out["cam_distance"][0]),
+        opacity=float(g.opacity),
+        color=g.color,
+        index=index,
+    )
 
 
 def make_camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, extrinsics=None, size=(100, 100)):
@@ -106,14 +144,14 @@ class TestCovariance:
 class TestProjection:
     def test_on_axis_example(self):
         # Camera at origin, mu at camera-frame (0, 0, 2), Sigma = I.
-        g = GaussianPrimitive(
+        g = gaussian_records(
             mu=np.array([0.0, 0.0, 2.0]),
             quat=np.array([1.0, 0.0, 0.0, 0.0]),
             scale=np.ones(3),
             opacity=0.8,
             color=np.array([1.0, 0.0, 0.0]),
-        )
-        pg = geo.project_gaussian(g, make_camera())
+        )[0]
+        pg = project_gaussian(g, make_camera())
         np.testing.assert_allclose(pg.mean2d, [50.0, 50.0], atol=1e-12)
         np.testing.assert_allclose(
             pg.cov2d, np.diag([2500.0 + geo.COV2D_REG, 2500.0 + geo.COV2D_REG]), atol=1e-9
@@ -121,25 +159,25 @@ class TestProjection:
         assert pg.cam_distance == pytest.approx(2.0, abs=1e-12)
 
     def test_behind_camera_culled(self):
-        g = GaussianPrimitive(
+        g = gaussian_records(
             mu=np.array([0.0, 0.0, -1.0]),
             quat=np.array([1.0, 0.0, 0.0, 0.0]),
             scale=np.ones(3),
             opacity=0.5,
             color=np.zeros(3),
-        )
-        assert geo.project_gaussian(g, make_camera()) is None
+        )[0]
+        assert project_gaussian(g, make_camera()) is None
 
     def test_optical_axis_hits_principal_point(self):
-        g = GaussianPrimitive(
+        g = gaussian_records(
             mu=np.array([0.0, 0.0, 5.0]),
             quat=np.array([1.0, 0.0, 0.0, 0.0]),
             scale=np.full(3, 0.1),
             opacity=1.0,
             color=np.ones(3),
-        )
+        )[0]
         cam = make_camera(cx=31.5, cy=17.0)
-        pg = geo.project_gaussian(g, cam)
+        pg = project_gaussian(g, cam)
         np.testing.assert_allclose(pg.mean2d, [31.5, 17.0], atol=0.0)
 
     def test_cov2d_exactly_symmetric(self):
@@ -161,14 +199,14 @@ class TestProjection:
         for k in range(5):
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
-            g = GaussianPrimitive(
+            g = gaussian_records(
                 mu=rng.normal(size=3) + np.array([0, 0, 4.0]),
                 quat=q,
                 scale=rng.uniform(0.2, 1.0, size=3),
                 opacity=0.7,
                 color=np.full(3, 0.5),
-            )
-            single = geo.project_gaussian(g, cam, index=k)
+            )[0]
+            single = project_gaussian(g, cam, index=k)
             batch = geo.project_gaussians_batch(g.mu[None], g.quat[None], g.scale[None], cam)
             np.testing.assert_array_equal(single.mean2d, batch["mean2d"][0])
             np.testing.assert_array_equal(single.cov2d, batch["cov2d"][0])
@@ -237,27 +275,45 @@ def rotation_to_quaternion(R):
     return q / np.linalg.norm(q)
 
 
+def unit_scene(**fields):
+    """A one-Gaussian Scene in the [-1, 1]^3 box, with fields overridden."""
+    g = dict(mu=np.zeros(3), quat=[1.0, 0.0, 0.0, 0.0], scale=np.ones(3),
+             opacity=0.5, color=np.zeros(3))
+    g.update(fields)
+    bounds = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
+    return sc.Scene(
+        gaussians=gaussian_records(**g), cameras=[make_camera()], bounds=bounds, seed=0
+    )
+
+
 class TestDomainTypes:
     def test_gaussian_rejects_unnormalized_quat(self):
-        with pytest.raises(ValueError, match="quaternion"):
-            GaussianPrimitive(
-                mu=np.zeros(3),
-                quat=np.array([1.0, 1.0, 0.0, 0.0]),
-                scale=np.ones(3),
-                opacity=0.5,
-                color=np.zeros(3),
-            )
+        with pytest.raises(ValueError, match="gaussian 0: quaternion"):
+            unit_scene(quat=np.array([1.0, 1.0, 0.0, 0.0]))
 
-    def test_gaussian_clamps_opacity_and_color(self):
-        g = GaussianPrimitive(
-            mu=np.zeros(3),
-            quat=np.array([1.0, 0.0, 0.0, 0.0]),
-            scale=np.ones(3),
-            opacity=1.5,
-            color=np.array([-0.2, 0.5, 2.0]),
-        )
-        assert g.opacity == 1.0
-        np.testing.assert_array_equal(g.color, [0.0, 0.5, 1.0])
+    def test_gaussian_rejects_out_of_range_opacity_and_color(self):
+        # Out-of-range values are refused, never clipped.
+        with pytest.raises(ValueError, match="opacity"):
+            unit_scene(opacity=1.5)
+        with pytest.raises(ValueError, match="color"):
+            unit_scene(color=np.array([-0.2, 0.5, 2.0]))
+
+    def test_gaussian_checks_name_first_bad_index(self):
+        ok = dict(mu=np.zeros((4, 3)), quat=[1.0, 0.0, 0.0, 0.0], scale=np.ones(3),
+                  opacity=0.5, color=np.zeros(3))
+        bounds = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
+        cases = [
+            ("scale", np.array([[1.0] * 3, [1.0] * 3, [1.0, 0.0, 1.0], [-1.0] * 3]),
+             "gaussian 2: scale"),
+            ("mu", np.array([[0.0] * 3, [0.0, 0.0, 1.5], [0.0] * 3, [2.0] * 3]),
+             "gaussian 1: mean"),
+            ("opacity", np.array([0.5, 0.5, 0.5, np.nan]), "gaussian 3: opacity"),
+            ("color", np.array([[0.0] * 3, [np.nan, 0.0, 0.0]] * 2), "gaussian 1: color"),
+        ]
+        for field, value, message in cases:
+            g = gaussian_records(**dict(ok, **{field: value}))
+            with pytest.raises(ValueError, match=message):
+                sc.Scene(gaussians=g, cameras=[make_camera()], bounds=bounds, seed=0)
 
     def test_camera_rejects_sheared_rotation(self):
         T = np.eye(4)
@@ -282,23 +338,25 @@ class TestDomainTypes:
         np.testing.assert_allclose(cam.world_to_camera() @ T, np.eye(4), atol=1e-12)
 
     def test_array_roundtrip(self):
+        # A GAUSSIAN_DTYPE record is the 14-float64 row
+        # (mu[3], quat[4], scale[3], opacity, color[3]), little-endian.
         rng = np.random.default_rng(9)
-        gaussians = []
-        for _ in range(4):
-            q = rng.normal(size=4)
-            q /= np.linalg.norm(q)
-            gaussians.append(
-                GaussianPrimitive(
-                    mu=rng.normal(size=3),
-                    quat=q,
-                    scale=rng.uniform(0.1, 1.0, size=3),
-                    opacity=float(rng.uniform()),
-                    color=rng.uniform(size=3),
-                )
-            )
-        arrays = geo.gaussians_to_arrays(gaussians)
-        back = geo.arrays_to_gaussians(arrays)
-        for a, b in zip(gaussians, back):
-            np.testing.assert_array_equal(a.mu, b.mu)
-            np.testing.assert_array_equal(a.quat, b.quat)
-            assert a.opacity == b.opacity
+        q = rng.normal(size=(4, 4))
+        fields = dict(
+            mu=rng.normal(size=(4, 3)),
+            quat=q / np.linalg.norm(q, axis=1, keepdims=True),
+            scale=rng.uniform(0.1, 1.0, size=(4, 3)),
+            opacity=rng.uniform(size=4),
+            color=rng.uniform(size=(4, 3)),
+        )
+        g = gaussian_records(**fields)
+        assert geo.GAUSSIAN_DTYPE.itemsize == 14 * 8
+        rows = np.concatenate(
+            [fields["mu"], fields["quat"], fields["scale"], fields["opacity"][:, None],
+             fields["color"]], axis=1,
+        )
+        assert g.tobytes() == rows.astype("<f8").tobytes()
+        back = np.frombuffer(rows.astype("<f8").tobytes(), geo.GAUSSIAN_DTYPE).view(np.recarray)
+        for name, value in fields.items():
+            np.testing.assert_array_equal(back[name], value)
+            np.testing.assert_array_equal(getattr(back, name), value)

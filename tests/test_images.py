@@ -144,3 +144,27 @@ class TestMask:
         path.write_bytes(good + b"\x00\x07")
         with pytest.raises(im.ImageFormatError, match="pixel 1"):
             im.read_mask(path)
+
+
+class TestForgedSizes:
+    """A header that declares more pixels than the file holds is refused
+    from the file size, before any read."""
+
+    def test_ppm(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n4294967295 4294967295\n255\n" + bytes(12))
+        with pytest.raises(im.ImageFormatError, match="PPM pixel data needs"):
+            im.read_ppm(path)
+
+    def test_pfm(self, tmp_path):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n99999999999 99999999999\n-1.0\n" + bytes(16))
+        with pytest.raises(im.ImageFormatError, match="PFM pixel data needs"):
+            im.read_pfm(path)
+
+    def test_mask(self, tmp_path):
+        path = tmp_path / "m.bin"
+        side = np.uint32(2**32 - 1).tobytes()
+        path.write_bytes(b"SQSMSK1" + bytes([1]) + side + side + bytes(4))
+        with pytest.raises(im.ImageFormatError, match="mask data needs"):
+            im.read_mask(path)

@@ -14,7 +14,7 @@ from querysplat import pretrain as pt
 from querysplat import renderer as rd
 from querysplat import scenes as sc
 from querysplat.checkpoint import load_checkpoint
-from querysplat.geometry import GaussianPrimitive, quaternion_to_rotation
+from querysplat.geometry import quaternion_to_rotation
 
 
 def tiny_sample(seed=3, n_views=2, image_size=(32, 32), n_objects=1):
@@ -210,21 +210,9 @@ class TestAdamW:
 def mirrored_gaussians(scene):
     """The x-mirrored twin of a scene's Gaussians about the bounds midplane."""
     S = np.diag([-1.0, 1.0, 1.0])
-    s = scene.bounds[0, 0] + scene.bounds[1, 0]
-    twins = []
-    for g in scene.gaussians:
-        mu = g.mu.copy()
-        mu[0] = s - mu[0]
-        R = quaternion_to_rotation(g.quat)
-        twins.append(
-            GaussianPrimitive(
-                mu=mu,
-                quat=rotation_to_quaternion(S @ R @ S),
-                scale=g.scale.copy(),
-                opacity=g.opacity,
-                color=g.color.copy(),
-            )
-        )
+    twins = scene.gaussians.copy()
+    twins.mu[:, 0] = scene.bounds[0, 0] + scene.bounds[1, 0] - twins.mu[:, 0]
+    twins.quat = [rotation_to_quaternion(S @ quaternion_to_rotation(q) @ S) for q in twins.quat]
     return twins
 
 

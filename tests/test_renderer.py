@@ -6,8 +6,10 @@ import pytest
 from querysplat import autodiff as ad
 from querysplat import geometry as geo
 from querysplat import renderer as rd
-from querysplat.geometry import Camera, GaussianPrimitive, ProjectedGaussian
+from querysplat.geometry import Camera
 from querysplat.renderer import RenderConfig
+
+from test_geometry import ProjectedGaussian, gaussian_records, project_gaussian
 
 
 def make_camera(fx=25.0, fy=25.0, cx=None, cy=None, size=(32, 32), extrinsics=None):
@@ -47,29 +49,41 @@ def projected(opacity=1.0, mean=(0.0, 0.0), cov=None, dist=2.0, color=(1.0, 0.0,
     )
 
 
+def pixel_alpha(pg, pixel, config=rd.DEFAULT_CONFIG):
+    """Scalar oracle: one Gaussian's alpha at one pixel, with clamp and floor."""
+    ia, ib, ic = rd._invert_cov2d(pg.cov2d[None])
+    dx = float(pixel[0]) - pg.mean2d[0]
+    dy = float(pixel[1]) - pg.mean2d[1]
+    q = dx * (ia[0] * dx + ib[0] * dy) + dy * (ib[0] * dx + ic[0] * dy)
+    a = min(pg.opacity * np.exp(-0.5 * q), config.alpha_clamp)
+    if q > rd._quad_cutoff(np.array([pg.opacity]), config.contribution_floor)[0]:
+        return 0.0
+    return float(a)
+
+
 class TestPixelAlpha:
     def test_center_equals_opacity(self):
         pg = projected(opacity=0.8)
-        assert rd.pixel_alpha(pg, np.zeros(2)) == pytest.approx(0.8, abs=0.0)
+        assert pixel_alpha(pg, np.zeros(2)) == pytest.approx(0.8, abs=0.0)
 
     def test_zero_opacity(self):
         pg = projected(opacity=0.0)
-        assert rd.pixel_alpha(pg, np.array([0.3, -0.7])) == 0.0
+        assert pixel_alpha(pg, np.array([0.3, -0.7])) == 0.0
 
     def test_unit_offset(self):
         pg = projected(opacity=1.0)
-        alpha = rd.pixel_alpha(pg, np.array([1.0, 0.0]))
+        alpha = pixel_alpha(pg, np.array([1.0, 0.0]))
         assert alpha == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_clamped(self):
         pg = projected(opacity=1.0)
         cfg = RenderConfig(alpha_clamp=0.9)
-        assert rd.pixel_alpha(pg, np.zeros(2), cfg) == 0.9
+        assert pixel_alpha(pg, np.zeros(2), cfg) == 0.9
 
     def test_floor_drops_far_contributions(self):
         pg = projected(opacity=1.0)
         # q = 100 => alpha ~ 2e-22, far below 1/255.
-        assert rd.pixel_alpha(pg, np.array([10.0, 0.0])) == 0.0
+        assert pixel_alpha(pg, np.array([10.0, 0.0])) == 0.0
 
 
 class TestAlphaComposite:
@@ -126,14 +140,14 @@ class TestAlphaComposite:
 
 class TestRenderForward:
     def test_empty_scene_is_background(self):
-        out = rd.render([], make_camera())
+        out = rd.render(np.zeros(0, dtype=geo.GAUSSIAN_DTYPE), make_camera())
         assert not out.rgb.any()
         assert not out.depth.any()
         assert not out.alpha_acc.any()
 
     def test_zero_image_size_rejected(self):
         with pytest.raises(ValueError, match="image size"):
-            rd.render([], make_camera(), image_size=(0, 32))
+            rd.render(np.zeros(0, dtype=geo.GAUSSIAN_DTYPE), make_camera(), image_size=(0, 32))
 
     def test_single_gaussian_matches_reference_exactly(self):
         g = {
@@ -169,14 +183,14 @@ class TestRenderForward:
         scene = random_scene(rng, 25)
         out = rd.render_reference(scene, cam)
 
-        prims = geo.arrays_to_gaussians(scene)
-        pgs = [geo.project_gaussian(g, cam, index=k) for k, g in enumerate(prims)]
+        prims = gaussian_records(**scene)
+        pgs = [project_gaussian(g, cam, index=k) for k, g in enumerate(prims)]
         pgs = [p for p in pgs if p is not None]
         pgs.sort(key=lambda p: (p.cam_distance, p.index))
         for (py, px) in [(0, 0), (3, 7), (11, 11), (6, 5)]:
             pixel = np.array([float(px), float(py)])
             contribs = [
-                (rd.pixel_alpha(p, pixel), p.color, p.cam_distance) for p in pgs
+                (pixel_alpha(p, pixel), p.color, p.cam_distance) for p in pgs
             ]
             color, depth, acc = rd.alpha_composite(contribs, checked=False)
             np.testing.assert_allclose(out.rgb[py, px], color, atol=1e-12)
@@ -187,8 +201,7 @@ class TestRenderForward:
         rng = np.random.default_rng(3)
         scene = random_scene(rng, 40)
         cam = make_camera()
-        arrays = rd._as_gaussian_arrays(scene)
-        _, prep = rd._prepare(arrays, cam, rd.DEFAULT_CONFIG)
+        _, prep = rd._prepare(scene, cam, rd.DEFAULT_CONFIG)
         slots = np.arange(prep["mx"].shape[0])
         px = np.arange(32, dtype=np.float64)
         py = np.arange(32, dtype=np.float64)
@@ -212,7 +225,7 @@ class TestRenderForward:
         rng = np.random.default_rng(5)
         cam = make_camera(size=(40, 24))
         for config in (rd.DEFAULT_CONFIG, rd.check_config()):
-            arrays = rd._as_gaussian_arrays(random_scene(rng, 80))
+            arrays = random_scene(rng, 80)
             _, prep = rd._prepare(arrays, cam, config)
             q = self._dense_quadform(prep, 40, 24)
             l_idx, y, x = np.nonzero(q <= prep["qcut"][:, None, None])
@@ -226,7 +239,7 @@ class TestRenderForward:
     def test_pair_compositing_bit_identical_to_block(self):
         rng = np.random.default_rng(6)
         cam = make_camera(size=(32, 32))
-        arrays = rd._as_gaussian_arrays(random_scene(rng, 80))
+        arrays = random_scene(rng, 80)
         _, prep = rd._prepare(arrays, cam, rd.DEFAULT_CONFIG)
         px = np.arange(32, dtype=np.float64)
         slots = np.arange(prep["mx"].shape[0])
@@ -338,6 +351,24 @@ class TestRenderForward:
         b = rd.render(scene, cam)
         assert a.rgb.tobytes() == b.rgb.tobytes()
         assert a.depth.tobytes() == b.depth.tobytes()
+
+    def test_record_array_renders_like_dict(self):
+        # A GAUSSIAN_DTYPE record array holds its fields strided in one
+        # buffer; every path gives the dict's bits, and the backward's.
+        rng = np.random.default_rng(12)
+        scene = random_scene(rng, 60)
+        records = gaussian_records(**scene)
+        cam = make_camera()
+        for render in (rd.render, rd.render_reference):
+            a, b = render(scene, cam), render(records, cam)
+            for field in ("rgb", "depth", "alpha_acc"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        seed_rgb = rng.normal(size=(32, 32, 3))
+        seed_depth = rng.normal(size=(32, 32))
+        ga = rd.render_backward(rd.render_forward(scene, cam)[1], seed_rgb, seed_depth)
+        gb = rd.render_backward(rd.render_forward(records, cam)[1], seed_rgb, seed_depth)
+        for name in ga:
+            assert ga[name].tobytes() == gb[name].tobytes()
 
     def test_rigid_invariance_of_render(self):
         from test_geometry import random_rigid, rotation_to_quaternion

@@ -1,11 +1,14 @@
 """Tests for scene generation, ground-truth baking, and persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from querysplat import geometry as geo
 from querysplat import scenes as sc
-from querysplat.geometry import Camera, GaussianPrimitive
+
+from test_geometry import gaussian_records, project_gaussian
 
 
 SPEC = {
@@ -17,8 +20,7 @@ SPEC = {
 
 
 def scene_bytes(scene):
-    arrays = scene.arrays()
-    parts = [arrays[k].tobytes() for k in sorted(arrays)]
+    parts = [scene.gaussians.tobytes()]
     for cam in scene.cameras:
         parts.append(np.asarray(cam.intrinsics).tobytes())
         parts.append(np.asarray(cam.extrinsics).tobytes())
@@ -101,7 +103,7 @@ class TestGenerateScene:
 
 def single_gaussian_scene(opacity=1.0):
     bounds = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
-    g = GaussianPrimitive(
+    g = gaussian_records(
         mu=np.zeros(3),
         quat=np.array([1.0, 0.0, 0.0, 0.0]),
         scale=np.full(3, 0.15),
@@ -109,7 +111,7 @@ def single_gaussian_scene(opacity=1.0):
         color=np.array([0.9, 0.1, 0.2]),
     )
     cameras = sc._ring_cameras(bounds, 2, (24, 24))
-    return sc.Scene(gaussians=[g], cameras=cameras, bounds=bounds, seed=0)
+    return sc.Scene(gaussians=g, cameras=cameras, bounds=bounds, seed=0)
 
 
 class TestBakeGroundTruth:
@@ -139,21 +141,18 @@ class TestBakeGroundTruth:
         # puts the principal point on the integer pixel grid, so the
         # projected mean lands exactly on a pixel.
         bounds = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]])
-        gaussians = [
-            GaussianPrimitive(
-                mu=np.zeros(3),
-                quat=np.array([1.0, 0.0, 0.0, 0.0]),
-                scale=np.full(3, 0.15),
-                opacity=0.9998,
-                color=np.array([0.5, 0.5, 0.5]),
-            )
-            for _ in range(3)
-        ]
+        gaussians = gaussian_records(
+            mu=np.zeros((3, 3)),
+            quat=np.array([1.0, 0.0, 0.0, 0.0]),
+            scale=np.full(3, 0.15),
+            opacity=0.9998,
+            color=np.array([0.5, 0.5, 0.5]),
+        )
         cameras = sc._ring_cameras(bounds, 2, (25, 25))
         scene = sc.Scene(gaussians=gaussians, cameras=cameras, bounds=bounds, seed=0)
         sample = sc.bake_ground_truth(scene)
         for vi, cam in enumerate(scene.cameras):
-            pg = geo.project_gaussian(scene.gaussians[0], cam)
+            pg = project_gaussian(scene.gaussians[0], cam)
             np.testing.assert_allclose(pg.mean2d, [12.0, 12.0], atol=1e-9)
             depth = sample.dense_depth[vi, 12, 12]
             assert abs(depth - pg.cam_distance) < 1e-6
@@ -283,3 +282,72 @@ class TestScenePersistence:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(sc.SceneFormatError, match="trailing"):
             sc.load_scene(path)
+
+    def test_forged_gaussian_count_rejected(self, tmp_path):
+        # K = 2^32 - 1 declares 481 GB of records; the reader refuses it
+        # from the file size instead of trying to read it.
+        scene = sc.generate_scene(SPEC, seed=1)
+        path = tmp_path / "scene.bin"
+        sc.save_scene(path, scene)
+        data = bytearray(path.read_bytes())
+        data[8:12] = np.uint32(2**32 - 1).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(sc.SceneFormatError, match="gaussian records needs"):
+            sc.load_scene(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("quat", [2.0, 0.0, 0.0, 0.0], "quaternion"),
+            ("scale", [0.1, 0.0, 0.1], "scale"),
+            ("mu", [0.0, 0.0, 9.0], "outside bounds"),
+            ("opacity", np.nan, "opacity"),
+            ("color", [0.5, 1.5, 0.5], "color"),
+        ],
+    )
+    def test_invalid_gaussian_rejected(self, tmp_path, field, value, message):
+        scene = sc.generate_scene(SPEC, seed=1)
+        path = tmp_path / "scene.bin"
+        sc.save_scene(path, scene)
+        data = bytearray(path.read_bytes())
+        records = np.frombuffer(data, geo.GAUSSIAN_DTYPE, count=len(scene.gaussians),
+                                offset=72).copy()
+        records[field][5] = value
+        data[72 : 72 + records.nbytes] = records.tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(sc.SceneFormatError, match=f"gaussian 5: .*{message}"):
+            sc.load_scene(path)
+
+
+# sha256 of the bytes written for generate_scene(GOLDEN_SPEC, seed=0) when
+# a scene still held a list of per-Gaussian objects: the scene file, and
+# the baked RGB and dense depth as float64 arrays. The record-array form
+# must keep every byte.
+GOLDEN_SPEC = {
+    "n_objects": 1,
+    "bounds": [[-1, -1, -1], [1, 1, 1]],
+    "n_views": 4,
+    "image_size": (64, 64),
+}
+GOLDEN = {
+    "scene": "929e520bfbc782924839501d420674d934f84454411e61cca01ff8dae4b9287b",
+    "rgb": "cf7371ca7530649c952305c2977d29c702e79f37145398b6351dbf98d6dcd0da",
+    "dense_depth": "f5d7546b2b281b17b173324332ee30f409b9394745c8c5bb19246aeae601c2f3",
+}
+
+
+class TestGoldenBytes:
+    def test_scene_file_and_bake_are_pinned(self, tmp_path):
+        scene = sc.generate_scene(GOLDEN_SPEC, seed=0)
+        path = tmp_path / "scene.bin"
+        sc.save_scene(path, scene)
+        sample = sc.bake_ground_truth(scene)
+        got = {
+            "scene": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "rgb": hashlib.sha256(sample.rgb.tobytes()).hexdigest(),
+            "dense_depth": hashlib.sha256(sample.dense_depth.tobytes()).hexdigest(),
+        }
+        assert got == GOLDEN
+        back = sc.bake_ground_truth(sc.load_scene(path))
+        assert back.rgb.tobytes() == sample.rgb.tobytes()
+        assert back.dense_depth.tobytes() == sample.dense_depth.tobytes()
