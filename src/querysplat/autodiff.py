@@ -119,13 +119,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def detach(self) -> np.ndarray:
-        """The forward value as a plain array (no gradient flows through)."""
-        return self.data
-
     def __repr__(self) -> str:
         tag = self.name or "tensor"
         return f"Tensor({tag}, shape={self.shape})"
@@ -551,13 +544,9 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return reduce_sum(x, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused affine map x @ w (+ b), one tape node instead of two."""
-    if b is None:
-        return matmul(x, w)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        out = add(matmul(x, w), b)
-        return out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Fused affine map x @ w + b of a 2-D x and w and a 1-D b, one tape
+    node instead of two."""
     value = x.data @ w.data + b.data
 
     def vjp(g):

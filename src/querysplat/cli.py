@@ -21,7 +21,6 @@ import numpy as np
 from . import autodiff as ad
 from . import config as cf
 from . import decoder as dec
-from . import encoder as enc
 from . import finetune as ft
 from . import pretrain as pt
 from . import renderer as rd
@@ -205,7 +204,7 @@ def _check_views(cfg, scenes):
     got = len(scenes[0].cameras)
     if got != want:
         raise UsageError(
-            f"dataset has {got} views per scene but the config expects {want}"
+            f"scene has {got} views but the config expects {want}"
         )
 
 
@@ -262,11 +261,7 @@ def cmd_pretrain(cfg, args):
 
 
 def _write_views(model, sample, rcfg, out_dir, with_gt):
-    images = [sample.rgb[v] for v in range(sample.n_views)]
-    pyramid = enc.encode(model.store, images)
-    head, _ = dec.decode(
-        model.query_set(), pyramid, sample.cameras, model.decoder_cfg, model.store
-    )
+    head, _ = pt.decode_sample(model, sample)
     gaussians = {
         name: getattr(head, name).data
         for name in ("mu", "quat", "scale", "opacity", "color")
@@ -291,18 +286,9 @@ def cmd_render(cfg, args):
     if os.path.isdir(scene_path):
         scene_path = os.path.join(scene_path, "scene.bin")
     scene = sc.load_scene(scene_path)
+    _check_views(cfg, [scene])
+    model = _load_pretrained(cfg, args.checkpoint, scene.bounds)
     sample = sc.bake_ground_truth(scene)
-    if len(scene.cameras) != int(cfg["data"]["n_views"]):
-        raise UsageError(
-            f"scene has {len(scene.cameras)} views but the config expects "
-            f"{cfg['data']['n_views']}"
-        )
-    model = _build_model_for(cfg, scene.bounds)
-    state = pt.model_state(load_checkpoint(args.checkpoint))
-    try:
-        model.store.load_state_dict(state)
-    except ValueError as e:
-        raise UsageError(f"checkpoint does not match the configured model: {e}")
     render_dir = os.path.join(out, "render")
     os.makedirs(render_dir, exist_ok=True)
     n = _write_views(model, sample, cf.render_config(cfg), render_dir, with_gt=True)
@@ -317,9 +303,9 @@ def _split_scenes(dirs, fraction):
     return dirs[:n_train], dirs[n_train:]
 
 
-def _load_pretrained(cfg, args, bounds):
+def _load_pretrained(cfg, path, bounds):
     model = _build_model_for(cfg, bounds)
-    state = pt.model_state(load_checkpoint(args.pretrained))
+    state = pt.model_state(load_checkpoint(path))
     try:
         model.store.load_state_dict(state)
     except ValueError as e:
@@ -347,7 +333,7 @@ def cmd_finetune(cfg, args):
     scenes, samples = _load_dataset(train)
     _check_views(cfg, scenes)
     print(f"fine-tuning on {len(scenes)} scene(s)")
-    model = _load_pretrained(cfg, args, scenes[0].bounds)
+    model = _load_pretrained(cfg, args.pretrained, scenes[0].bounds)
     task = _build_task(cfg, scenes[0].bounds, model.decoder_cfg.feature_dim)
     history = ft.run_finetuning(
         task,
@@ -377,7 +363,7 @@ def cmd_eval(cfg, args):
     # With no held-out scenes the full set is scored instead.
     scenes, samples = _load_dataset(held or train)
     _check_views(cfg, scenes)
-    model = _load_pretrained(cfg, args, scenes[0].bounds)
+    model = _load_pretrained(cfg, args.pretrained, scenes[0].bounds)
     task = _build_task(cfg, scenes[0].bounds, model.decoder_cfg.feature_dim)
     try:
         task.store.load_state_dict(load_checkpoint(args.task))
@@ -517,12 +503,13 @@ def _gradcheck_interaction(seed, fault):
     task = ft.build_task_model(bounds, grid=2, cfg=cfg, d_task=8, d_pre=8, seed=seed)
     for name in task.store.names():
         task.store[name].data = rng.normal(size=task.store[name].data.shape) * 0.3
-    anchors = np.zeros((6, 11))
-    anchors[:, :3] = rng.uniform(-0.9, 0.9, size=(6, 3))
-    anchors[:, 3:6] = rng.uniform(0.05, 0.2, size=(6, 3))
+    col = dec.anchor_slice
+    anchors = np.zeros((6, dec.ANCHOR_DIM))
+    anchors[:, col("pos")] = rng.uniform(-0.9, 0.9, size=(6, 3))
+    anchors[:, col("scale")] = rng.uniform(0.05, 0.2, size=(6, 3))
     q = rng.normal(size=(6, 4))
-    anchors[:, 6:10] = q / np.linalg.norm(q, axis=1, keepdims=True)
-    anchors[:, 10] = rng.uniform(0.1, 1.0, size=6)
+    anchors[:, col("quat")] = q / np.linalg.norm(q, axis=1, keepdims=True)
+    anchors[:, col("opacity")] = rng.uniform(0.1, 1.0, size=(6, 1))
     feats = rng.normal(size=(6, 8))
     gt = rng.integers(0, 2, size=8)
 

@@ -2,15 +2,15 @@
 self-interaction, deformable cross-attention into the image pyramid, and
 per-group heads with constrained activations.
 
-Anchors are (K, 11) raw parameters laid out as position(3) + scale(3) +
-quat(4) + opacity(1). Query features are (K, D) and start at exactly zero
-every decode. Each refine layer runs voxelized sparse convolution, deformable
-cross-attention, and a feed-forward block, then updates the anchors: the
-position head emits a delta in raw (pre-sigmoid) space while the scale, quat,
-and opacity heads replace their groups outright. Decoding activates raws via
-sigmoid ranges (position into the scene bounds, scale into
-[0.001, 0.25] * bounds extent), quaternion normalization, and a color MLP on
-the final features.
+Anchors are (K, ANCHOR_DIM) raw parameters in the column groups position,
+scale, quat and opacity that ANCHOR_COLUMNS declares. Query features are
+(K, D) and start at exactly zero every decode. Each refine layer runs
+voxelized sparse convolution, deformable cross-attention, and a feed-forward
+block, then updates the anchors: the position head emits a delta in raw
+(pre-sigmoid) space while the scale, quat, and opacity heads replace their
+groups outright. Decoding activates raws via sigmoid ranges (position into
+the scene bounds, scale into [0.001, 0.25] * bounds extent), quaternion
+normalization, and a color MLP on the final features.
 """
 
 from __future__ import annotations
@@ -27,7 +27,11 @@ from .geometry import NEAR_PLANE
 SCALE_RANGE = (0.001, 0.25)  # fraction of bounds extent
 INIT_SCALE_FRACTION = 0.02
 INIT_OPACITY = 0.1
-ANCHOR_DIM = 11
+# The anchor row, group -> (first column, width), in column order. Decoded
+# anchors (finetune.FrozenInference), the queries.anchors checkpoints and
+# the task.interact.gk weights all use this layout, so it must not change.
+ANCHOR_COLUMNS = {"pos": (0, 3), "scale": (3, 3), "quat": (6, 4), "opacity": (10, 1)}
+ANCHOR_DIM = sum(width for _, width in ANCHOR_COLUMNS.values())
 QUAT_EPS = 1e-8
 
 
@@ -64,7 +68,7 @@ class DecoderConfig:
 
 @dataclass
 class GaussianQuerySet:
-    anchors: ad.Tensor  # (K, 11) raw parameters
+    anchors: ad.Tensor  # (K, ANCHOR_DIM) raw parameters
     features: ad.Tensor  # (K, D)
     bounds: np.ndarray  # (2, 3)
 
@@ -101,17 +105,33 @@ def _logit(p):
     return float(np.log(p / (1.0 - p)))
 
 
+# Final biases of the anchor-update heads, per ANCHOR_COLUMNS group: a zero
+# position delta, 2%-extent scales, identity rotations, and opacity 0.1.
+_HEAD_BIASES = {
+    "pos": np.zeros(3),
+    "scale": np.full(3, _init_raw_scale_logit()),
+    "quat": np.array([1.0, 0.0, 0.0, 0.0]),
+    "opacity": np.array([_logit(INIT_OPACITY)]),
+}
+
+
+def anchor_slice(group):
+    """Column slice of an ANCHOR_COLUMNS group in anchor rows."""
+    start, width = ANCHOR_COLUMNS[group]
+    return slice(start, start + width)
+
+
 def init_anchor_array(K, bounds, seed):
-    """Raw anchors whose decode is uniform positions, 2%-extent scales,
-    identity rotations, and opacity 0.1."""
+    """Raw anchors whose decode is uniform positions and, in the other
+    groups, what the heads' initial biases decode to."""
     bounds = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
     rng = np.random.default_rng(seed)
     u = rng.uniform(1e-4, 1.0 - 1e-4, size=(K, 3))
-    raw_pos = np.log(u / (1.0 - u))
-    raw_scale = np.full((K, 3), _init_raw_scale_logit())
-    raw_quat = np.tile([1.0, 0.0, 0.0, 0.0], (K, 1))
-    raw_op = np.full((K, 1), _logit(INIT_OPACITY))
-    return np.concatenate([raw_pos, raw_scale, raw_quat, raw_op], axis=1)
+    anchors = np.empty((K, ANCHOR_DIM))
+    for group, bias in _HEAD_BIASES.items():
+        anchors[:, anchor_slice(group)] = bias
+    anchors[:, anchor_slice("pos")] = np.log(u / (1.0 - u))
+    return anchors
 
 
 def init_queries(K, bounds, seed, feature_dim=64):
@@ -127,7 +147,7 @@ def init_queries(K, bounds, seed, feature_dim=64):
 def decode_positions(anchors, bounds):
     """mu = bounds_min + sigmoid(raw_pos) * per-axis extent, shape (K, 3)."""
     bounds = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
-    raw = ad.narrow(anchors, 1, 0, 3)
+    raw = ad.narrow(anchors, 1, *ANCHOR_COLUMNS["pos"])
     return ad.sigmoid(raw) * (bounds[1] - bounds[0]) + bounds[0]
 
 
@@ -157,13 +177,6 @@ def _init_mlp2(store, rng, prefix, d_in, d_hidden, d_out, final_bias=None):
 def init_decoder_params(store, rng, cfg, prefix="decoder"):
     D = cfg.feature_dim
     S = cfg.n_views * cfg.n_levels * cfg.n_offsets
-    head_biases = {
-        "pos": np.zeros(3),
-        "scale": np.full(3, _init_raw_scale_logit()),
-        "quat": np.array([1.0, 0.0, 0.0, 0.0]),
-        "opacity": np.array([_logit(INIT_OPACITY)]),
-    }
-    widths = {"pos": 3, "scale": 3, "quat": 4, "opacity": 1}
     for i in range(cfg.n_layers):
         lp = f"{prefix}.layer{i}"
         store.param(
@@ -182,10 +195,10 @@ def init_decoder_params(store, rng, cfg, prefix="decoder"):
         store.param(f"{lp}.ffn.b1", np.zeros(2 * D))
         store.param(f"{lp}.ffn.w2", rng.normal(size=(2 * D, D)) * np.sqrt(2.0 / (2 * D)))
         store.param(f"{lp}.ffn.b2", np.zeros(D))
-        for group, width in widths.items():
+        for group, (_, width) in ANCHOR_COLUMNS.items():
             _init_mlp2(
                 store, rng, f"{lp}.head_{group}", D, D, width,
-                final_bias=head_biases[group],
+                final_bias=_HEAD_BIASES[group],
             )
     _init_mlp2(store, rng, f"{prefix}.head.color", D, D, 3)
 
@@ -410,11 +423,11 @@ def gaussian_head(qs, store, prefix="decoder"):
     s_min, s_max = SCALE_RANGE[0] * extent, SCALE_RANGE[1] * extent
 
     mu = decode_positions(qs.anchors, bounds)
-    raw_scale = ad.narrow(qs.anchors, 1, 3, 3)
+    raw_scale = ad.narrow(qs.anchors, 1, *ANCHOR_COLUMNS["scale"])
     scale = ad.sigmoid(raw_scale) * (s_max - s_min) + s_min
-    raw_quat = ad.narrow(qs.anchors, 1, 6, 4)
+    raw_quat = ad.narrow(qs.anchors, 1, *ANCHOR_COLUMNS["quat"])
     quat, degenerate = _normalize_quats(raw_quat)
-    raw_op = ad.narrow(qs.anchors, 1, 10, 1)
+    raw_op = ad.narrow(qs.anchors, 1, *ANCHOR_COLUMNS["opacity"])
     opacity = ad.reshape(ad.sigmoid(raw_op), (qs.anchors.data.shape[0],))
     color = ad.sigmoid(_mlp2(store, f"{prefix}.head.color", qs.features))
     return DecodedGaussians(
@@ -435,12 +448,13 @@ def refine_layer(qs, pyramid, cameras, cfg, store, layer_prefix):
     ffn_out = _mlp2(store, f"{layer_prefix}.ffn", qs.features)
     features = ad.add(qs.features, ffn_out)
 
-    delta_pos = _mlp2(store, f"{layer_prefix}.head_pos", features)
-    new_pos = ad.add(ad.narrow(qs.anchors, 1, 0, 3), delta_pos)
-    new_scale = _mlp2(store, f"{layer_prefix}.head_scale", features)
-    new_quat = _mlp2(store, f"{layer_prefix}.head_quat", features)
-    new_op = _mlp2(store, f"{layer_prefix}.head_opacity", features)
-    anchors = ad.concat([new_pos, new_scale, new_quat, new_op], axis=1)
+    groups = []
+    for group in ANCHOR_COLUMNS:
+        out = _mlp2(store, f"{layer_prefix}.head_{group}", features)
+        if group == "pos":
+            out = ad.add(ad.narrow(qs.anchors, 1, *ANCHOR_COLUMNS["pos"]), out)
+        groups.append(out)
+    anchors = ad.concat(groups, axis=1)
     return GaussianQuerySet(anchors=anchors, features=features, bounds=qs.bounds)
 
 

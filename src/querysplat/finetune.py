@@ -8,8 +8,8 @@ anchors through a single-head local attention block, and a small head maps
 each query to {empty, occupied} logits.  Only the interaction block, the
 task queries, and the head train; the pre-trained parameters never change.
 
-Anchor rows are the 11 decoded Gaussian parameters in the fixed order
-[mu(3), scale(3), quat(4), opacity(1)].
+Anchor rows are the decoded Gaussian parameters in the raw anchors' column
+layout, decoder.ANCHOR_COLUMNS: its "pos" group holds the mean mu.
 """
 
 from __future__ import annotations
@@ -22,16 +22,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoder as dec
-from . import encoder as enc
 from . import pretrain as pt
 from .checkpoint import save_checkpoint
 from .decoder import _init_mlp2, _mlp2
 
 logger = logging.getLogger(__name__)
-
-# Decoded anchor vector layout: [mu, scale, quat, opacity].
-ANCHOR_PARAM_DIM = 11
-_OPACITY_COL = 10
 
 
 @dataclass
@@ -86,7 +81,7 @@ class FrozenInference:
     table a task derives from it are memoised on it (see _interaction_inputs).
     """
 
-    anchors: np.ndarray  # (N, 11) decoded [mu, scale, quat, opacity]
+    anchors: np.ndarray  # (N, ANCHOR_DIM) decoded, in ANCHOR_COLUMNS layout
     features: np.ndarray  # (N, D) final query features
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -97,15 +92,11 @@ def infer_frozen(model, sample):
     The result is plain numpy: nothing downstream can backpropagate into
     the pre-trained parameters, which implements the freeze contract.
     """
-    images = [sample.rgb[v] for v in range(sample.n_views)]
-    pyramid = enc.encode(model.store, images)
-    head, working = dec.decode(
-        model.query_set(), pyramid, sample.cameras, model.decoder_cfg, model.store
-    )
-    anchors = np.concatenate(
-        [head.mu.data, head.scale.data, head.quat.data, head.opacity.data[:, None]],
-        axis=1,
-    )
+    head, working = pt.decode_sample(model, sample)
+    anchors = np.empty((head.mu.data.shape[0], dec.ANCHOR_DIM))
+    for group, (_, width) in dec.ANCHOR_COLUMNS.items():
+        value = head.mu if group == "pos" else getattr(head, group)
+        anchors[:, dec.anchor_slice(group)] = value.data.reshape(-1, width)
     return FrozenInference(anchors=anchors, features=working.features.data.copy())
 
 
@@ -117,15 +108,15 @@ def filter_by_opacity(gaussians, features, alpha_thresh):
     """
     g = np.asarray(gaussians, dtype=np.float64)
     f = np.asarray(features, dtype=np.float64)
-    if g.ndim != 2 or g.shape[1] != ANCHOR_PARAM_DIM:
+    if g.ndim != 2 or g.shape[1] != dec.ANCHOR_DIM:
         raise ValueError(
-            f"gaussians must be (N, {ANCHOR_PARAM_DIM}), got {g.shape}"
+            f"gaussians must be (N, {dec.ANCHOR_DIM}), got {g.shape}"
         )
     if f.ndim != 2 or f.shape[0] != g.shape[0]:
         raise ValueError(
             f"features {f.shape} do not match {g.shape[0]} gaussians"
         )
-    keep = g[:, _OPACITY_COL] >= alpha_thresh
+    keep = g[:, dec.ANCHOR_COLUMNS["opacity"][0]] >= alpha_thresh
     return g[keep], f[keep]
 
 
@@ -186,14 +177,16 @@ def _k_smallest(d2, k):
     return idx
 
 
-def local_query_interaction(tq, anchors, anchor_features, cfg, store):
+def local_query_interaction(tq, anchors, anchor_features, cfg, store, neighbors=None):
     """Update task queries from their k nearest anchors (one attention head).
 
     Query side is q_t + MLP(mu_t); key/value side is adapter(q_k) + MLP(g_k)
-    with g_k the full 11-dim decoded anchor vector.  The attended value is
-    projected and added residually to q_t.  Anchors and their features enter
-    as constants, so gradients reach only the block's own parameters and the
+    with g_k the full decoded anchor row.  The attended value is projected
+    and added residually to q_t.  Anchors and their features enter as
+    constants, so gradients reach only the block's own parameters and the
     task queries.  With zero anchors the input is returned unchanged.
+    neighbors, if given, is the (M, k) table knn_neighbors returns for these
+    positions and anchors, which is then not looked up again.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     anchor_features = np.asarray(anchor_features, dtype=np.float64)
@@ -203,23 +196,20 @@ def local_query_interaction(tq, anchors, anchor_features, cfg, store):
             "query interaction is an identity pass-through"
         )
         return tq
-    neigh = knn_neighbors(tq.positions, anchors[:, :3], cfg.k)
-    return _attend_neighbors(tq, anchors, anchor_features, neigh, store)
-
-
-def _attend_neighbors(tq, anchors, anchor_features, neigh, store):
-    """local_query_interaction's update, given its (M, k) neighbour table."""
     adapter = store["task.interact.adapter.w"]
     if anchor_features.shape[1] != adapter.data.shape[0]:
         raise ValueError(
             f"anchor feature dim {anchor_features.shape[1]} does not match "
             f"the interaction adapter input dim {adapter.data.shape[0]}"
         )
+    if neighbors is None:
+        mu = anchors[:, dec.anchor_slice("pos")]
+        neighbors = knn_neighbors(tq.positions, mu, cfg.k)
     q = tq.features + _mlp2(store, "task.interact.pos", ad.constant(tq.positions))
     kv = ad.matmul(ad.constant(anchor_features), adapter) + _mlp2(
         store, "task.interact.gk", ad.constant(anchors)
     )
-    attended = neighbor_attention(q, kv, neigh)
+    attended = neighbor_attention(q, kv, neighbors)
     update = ad.matmul(attended, store["task.interact.out.w"])
     return TaskQuerySet(positions=tq.positions, features=tq.features + update)
 
@@ -346,7 +336,7 @@ def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
     store = ad.ParamStore()
     store.param("task.queries", rng.normal(size=(g**3, d_task)) * 0.02)
     _init_mlp2(store, rng, "task.interact.pos", 3, cfg.pe_hidden, d_task)
-    _init_mlp2(store, rng, "task.interact.gk", ANCHOR_PARAM_DIM, cfg.pe_hidden, d_task)
+    _init_mlp2(store, rng, "task.interact.gk", dec.ANCHOR_DIM, cfg.pe_hidden, d_task)
     store.param(
         "task.interact.adapter.w",
         rng.normal(size=(d_pre, d_task)) * np.sqrt(1.0 / d_pre),
@@ -371,7 +361,8 @@ def _interaction_inputs(task, frozen):
         )
         neigh = None
         if anchors.shape[0]:
-            neigh = knn_neighbors(positions, anchors[:, :3], cfg.k)
+            mu = anchors[:, dec.anchor_slice("pos")]
+            neigh = knn_neighbors(positions, mu, cfg.k)
         frozen._memo[key] = (anchors, feats, neigh)
     return frozen._memo[key]
 
@@ -381,10 +372,7 @@ def _task_logits(task, frozen, use_interaction):
     tq = TaskQuerySet(positions=task.positions, features=task.store["task.queries"])
     if use_interaction:
         anchors, feats, neigh = _interaction_inputs(task, frozen)
-        if neigh is None:  # no anchors: the interaction passes tq through
-            tq = local_query_interaction(tq, anchors, feats, task.cfg, task.store)
-        else:
-            tq = _attend_neighbors(tq, anchors, feats, neigh, task.store)
+        tq = local_query_interaction(tq, anchors, feats, task.cfg, task.store, neigh)
     return occupancy_head(tq, task.grid, task.store)
 
 

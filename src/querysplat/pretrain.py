@@ -187,15 +187,24 @@ def build_model(bounds, decoder_cfg, seed):
     return PretrainModel(store=store, decoder_cfg=decoder_cfg, bounds=bounds)
 
 
+def decode_sample(model, sample):
+    """Encode a sample's views and decode the model's queries against them.
+
+    Returns (DecodedGaussians, final query set), as decoder.decode does.
+    """
+    images = [sample.rgb[v] for v in range(sample.n_views)]
+    pyramid = enc.encode(model.store, images)
+    return dec.decode(
+        model.query_set(), pyramid, sample.cameras, model.decoder_cfg, model.store
+    )
+
+
 def forward(model, sample, w, render_config=None):
     """Encode, decode, render every view, and average per-view losses.
 
     Returns (loss Tensor, DecodedGaussians, per-view RenderOutput list).
     """
-    cfg = model.decoder_cfg
-    images = [sample.rgb[v] for v in range(sample.n_views)]
-    pyramid = enc.encode(model.store, images)
-    head, _ = dec.decode(model.query_set(), pyramid, sample.cameras, cfg, model.store)
+    head, _ = decode_sample(model, sample)
 
     render_config = render_config or rd.DEFAULT_CONFIG
     loss = None
@@ -205,10 +214,8 @@ def forward(model, sample, w, render_config=None):
             head.mu, head.quat, head.scale, head.opacity, head.color,
             cam, render_config,
         )
-        H, W = sample.rgb[v].shape[:2]
-        flat = ad.reshape(node, (H * W, 4))
-        pred_rgb = ad.reshape(ad.narrow(flat, 1, 0, 3), (H, W, 3))
-        pred_depth = ad.reshape(ad.narrow(flat, 1, 3, 1), (H, W))
+        pred_rgb = ad.narrow(node, 2, 0, 3)
+        pred_depth = ad.reshape(ad.narrow(node, 2, 3, 1), sample.rgb[v].shape[:2])
         view_loss = reconstruction_loss(
             pred_rgb, pred_depth,
             sample.rgb[v], sample.dense_depth[v], sample.valid_mask[v], w,

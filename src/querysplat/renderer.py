@@ -93,7 +93,7 @@ class RenderOutput:
 class RenderCache:
     """Forward-pass state retained for the analytic backward pass."""
 
-    def __init__(self, arrays, camera, config, width, height, P, prep):
+    def __init__(self, arrays, camera, config, width, height, P, prep, internals):
         self.arrays = arrays
         self.camera = camera
         self.config = config
@@ -101,7 +101,7 @@ class RenderCache:
         self.height = height
         self.P = P  # projection dict from geometry.project_gaussians_batch
         self.prep = prep  # per-Gaussian prepared rasterization data
-        self.internals = None  # optional per-pair compositing intermediates
+        self.internals = internals  # per-pair compositing state, or None
         self._tiles = None
 
     @property
@@ -509,14 +509,9 @@ def render_forward(
     camera: Camera,
     config: RenderConfig = DEFAULT_CONFIG,
     image_size=None,
-    keep_internals=False,
 ) -> tuple[RenderOutput, RenderCache]:
-    """Footprint-pair forward pass; the returned cache enables render_backward.
-
-    keep_internals=True stores the per-pair compositing intermediates in the
-    cache so the backward pass skips its recompute. Worth the memory only
-    when a backward pass is certain to follow (the training path).
-    """
+    """Footprint-pair forward pass; the returned cache, which keeps the
+    per-pair compositing intermediates, enables render_backward."""
     width, height = _validate_size(camera, image_size)
     P, prep = _prepare(gaussians, camera, config)
     rgb, depth, alpha_acc, state = _composite_pairs(prep, width, height, config)
@@ -525,9 +520,7 @@ def render_forward(
         depth=depth.reshape(height, width),
         alpha_acc=alpha_acc.reshape(height, width),
     )
-    cache = RenderCache(gaussians, camera, config, width, height, P, prep)
-    cache.internals = state if keep_internals else None
-    return out, cache
+    return out, RenderCache(gaussians, camera, config, width, height, P, prep, state)
 
 
 def render(
@@ -562,8 +555,6 @@ def render_backward(cache: RenderCache, grad_rgb: np.ndarray, grad_depth: np.nda
     prep, config = cache.prep, cache.config
     n_sorted = prep["mx"].shape[0]
     state = cache.internals
-    if state is None:
-        state = _composite_pairs(prep, W, H, config)[3]
     if state is None:  # no Gaussian reaches a pixel
         zero = np.zeros(n_sorted)
         return _projection_backward(
@@ -719,7 +710,7 @@ def render_node(
         "opacity": opacity.data,
         "color": color.data,
     }
-    out, cache = render_forward(arrays, camera, config, image_size, keep_internals=True)
+    out, cache = render_forward(arrays, camera, config, image_size)
     value = np.concatenate([out.rgb, out.depth[..., None]], axis=2)
 
     def vjp(g):

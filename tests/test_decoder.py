@@ -44,6 +44,18 @@ def random_queries(K, seed=0, feature_dim=64, features=None):
     )
 
 
+class TestAnchorColumns:
+    def test_groups_tile_the_row_in_order(self):
+        # queries.anchors checkpoints and task.interact.gk weights use this
+        # layout, so it is pinned.
+        end = 0
+        for start, width in dec.ANCHOR_COLUMNS.values():
+            assert start == end and width > 0
+            end = start + width
+        assert end == dec.ANCHOR_DIM == 11
+        assert list(dec.ANCHOR_COLUMNS) == ["pos", "scale", "quat", "opacity"]
+
+
 class TestInitQueries:
     def test_features_exactly_zero(self):
         qs = dec.init_queries(64, BOUNDS, seed=1)

@@ -13,6 +13,8 @@ from test_geometry import gaussian_records
 from test_pretrain import tiny_model, tiny_sample
 
 from querysplat import autodiff as ad
+from querysplat import decoder as dec
+from querysplat import encoder as enc
 from querysplat import finetune as ft
 from querysplat import pretrain as pt
 from querysplat import scenes as sc
@@ -378,6 +380,43 @@ class TestLocalQueryInteraction:
         assert out is tq
         assert any("identity" in r.message for r in caplog.records)
 
+    def test_given_neighbors_match_the_lookup(self):
+        def run(neighbors):
+            self.task.store.zero_grad()
+            tq = ft.TaskQuerySet(
+                positions=self.task.positions,
+                features=self.task.store["task.queries"],
+            )
+            out = ft.local_query_interaction(
+                tq, self.frozen.anchors, self.frozen.features, self.task.cfg,
+                self.task.store, neighbors,
+            )
+            ad.reduce_sum(out.features * out.features).backward()
+            grads = {
+                n: t.grad.tobytes() for n, t in self.task.store.items()
+                if t.grad is not None
+            }
+            return out.features.data.tobytes(), grads
+
+        neigh = ft.knn_neighbors(
+            self.task.positions, self.frozen.anchors[:, :3], self.task.cfg.k
+        )
+        assert run(neigh) == run(None)
+
+    def test_empty_anchors_with_a_table_pass_through(self, caplog):
+        tq = ft.TaskQuerySet(
+            positions=self.task.positions,
+            features=self.task.store["task.queries"],
+        )
+        neigh = np.zeros((tq.positions.shape[0], self.task.cfg.k), dtype=np.intp)
+        with caplog.at_level(logging.WARNING, logger="querysplat.finetune"):
+            out = ft.local_query_interaction(
+                tq, np.zeros((0, 11)), np.zeros((0, 8)), self.task.cfg,
+                self.task.store, neigh,
+            )
+        assert out is tq
+        assert any("identity" in r.message for r in caplog.records)
+
     def test_permutation_invariant_in_anchor_order(self):
         out = self.run_block()
         rng = np.random.default_rng(5)
@@ -569,6 +608,22 @@ class TestInferFrozen:
             np.linalg.norm(frozen.anchors[:, 6:10], axis=1), 1.0, atol=1e-12
         )
         assert np.all((frozen.anchors[:, 10] >= 0) & (frozen.anchors[:, 10] <= 1))
+
+    def test_anchor_columns_hold_the_decoded_fields(self):
+        scene, sample = tiny_sample(seed=3)
+        model = tiny_model(scene)
+        frozen = ft.infer_frozen(model, sample)
+        images = [sample.rgb[v] for v in range(sample.n_views)]
+        pyramid = enc.encode(model.store, images)
+        head, working = dec.decode(
+            model.query_set(), pyramid, sample.cameras, model.decoder_cfg, model.store
+        )
+        assert frozen.anchors.shape == (16, dec.ANCHOR_DIM)
+        for group in dec.ANCHOR_COLUMNS:
+            want = getattr(head, "mu" if group == "pos" else group).data
+            got = frozen.anchors[:, dec.anchor_slice(group)]
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), group
+        assert frozen.features.tobytes() == working.features.data.tobytes()
 
 
 class TestFinetuneStep:

@@ -256,23 +256,10 @@ class TestRenderForward:
         assert not wgt.any()  # every other pair has weight exactly 0
         np.testing.assert_array_equal(acc_pairs.reshape(32, 32), acc)
 
-    def test_backward_same_with_and_without_kept_internals(self):
-        rng = np.random.default_rng(7)
-        scene = random_scene(rng, 50)
-        cam = make_camera()
-        g_rgb = rng.normal(size=(32, 32, 3))
-        g_depth = rng.normal(size=(32, 32))
-        _, kept = rd.render_forward(scene, cam, keep_internals=True)
-        _, recomputed = rd.render_forward(scene, cam)
-        a = rd.render_backward(kept, g_rgb, g_depth)
-        b = rd.render_backward(recomputed, g_rgb, g_depth)
-        for k in a:
-            assert a[k].tobytes() == b[k].tobytes()
-
     def test_cache_tiles_list_every_kept_pair(self):
         rng = np.random.default_rng(8)
         cam = make_camera(size=(40, 24))
-        _, cache = rd.render_forward(random_scene(rng, 60), cam, keep_internals=True)
+        _, cache = rd.render_forward(random_scene(rng, 60), cam)
         ts = cache.config.tile_size
         state = cache.internals
         pixel = state["pixel"]
@@ -310,7 +297,7 @@ class TestRenderForward:
         }
         spread = random_scene(rng, 60, spread=4.0)
         scene = {k: np.concatenate([stack[k], spread[k]]) for k in stack}
-        out, cache = rd.render_forward(scene, cam, keep_internals=True)
+        out, cache = rd.render_forward(scene, cam)
         assert cache.internals["counts"].max() >= 200
         ref = rd.render_reference(scene, cam)
         np.testing.assert_allclose(out.rgb, ref.rgb, atol=1e-6)
@@ -322,7 +309,7 @@ class TestRenderForward:
         # Blocks of one pixel (and one Gaussian per enumeration run) give
         # the same bits.
         monkeypatch.setattr(rd, "_BLOCK_ENTRIES", 16)
-        small_out, small_cache = rd.render_forward(scene, cam, keep_internals=True)
+        small_out, small_cache = rd.render_forward(scene, cam)
         assert small_out.rgb.tobytes() == out.rgb.tobytes()
         assert small_out.alpha_acc.tobytes() == out.alpha_acc.tobytes()
         small = rd.render_backward(small_cache, g_rgb, g_depth)
