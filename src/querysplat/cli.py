@@ -360,7 +360,8 @@ def cmd_eval(cfg, args):
     cf.write_resolved(cfg, out)
     f = cfg["finetune"]
     train, held = _split_scenes(_scene_dirs(args.data), f["train_fraction"])
-    # With no held-out scenes the full set is scored instead.
+    if not held:
+        print(f"no held-out scene: scoring the {len(train)} training scene(s)")
     scenes, samples = _load_dataset(held or train)
     _check_views(cfg, scenes)
     model = _load_pretrained(cfg, args.pretrained, scenes[0].bounds)

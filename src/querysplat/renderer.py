@@ -20,8 +20,11 @@ Threshold semantics are shared by both render paths through RenderConfig:
 The fast path enumerates, per Gaussian, the pixels of the bounding box of
 its drop ellipse and keeps the (Gaussian, pixel) pairs that pass the drop
 test; everything outside the box is below the drop floor, so it only skips
-exact no-ops, and each pixel composites its kept pairs in depth order. The
-reference path visits every Gaussian at every pixel.
+exact no-ops, and each pixel composites its kept pairs in depth order. It is
+the only path the package renders with: training, inference and the
+ground-truth bake all use it. The reference path, ``render_reference``,
+visits every Gaussian at every pixel and serves only as its oracle in tests
+and benchmark checks.
 
 Every entry point takes the Gaussians as anything whose fields mu, quat,
 scale, opacity and color index by name: a geometry.GAUSSIAN_DTYPE record
@@ -529,7 +532,9 @@ def render(
     config: RenderConfig = DEFAULT_CONFIG,
     image_size=None,
 ) -> RenderOutput:
-    """Footprint-pair rendering; equal to render_reference within 1e-6."""
+    """Footprint-pair rendering, as used by the ground-truth bake and
+    inference; agrees with the render_reference oracle to rounding, and
+    makes the same drop and early-stop decisions."""
     out, _ = render_forward(gaussians, camera, config, image_size)
     return out
 

@@ -511,6 +511,25 @@ class TestEval:
         lines = read_csv_lines(str(out / "eval.csv"))
         assert len(lines) == 5  # header, three scenes, mean
 
+    def test_says_when_it_scores_training_scenes(self, ws, dataset, pretrained,
+                                                 finetuned, tmp_path, capsys):
+        root, cfg = ws
+        ckpts = ("--pretrained", os.path.join(pretrained, "model.ckpt"),
+                 "--task", os.path.join(finetuned, "task.ckpt"))
+        all_train = root / "all_train.json"
+        all_train.write_text(json.dumps(dict(TINY, finetune=dict(TINY["finetune"],
+                                                                 train_fraction=1.0))))
+        assert run("eval", "--config", all_train, "--data", dataset, *ckpts,
+                   "--out-dir", tmp_path / "all") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "no held-out scene: scoring the 3 training scene(s)"
+        assert out[1].startswith("evaluated 3 scene(s)")
+        assert len(read_csv_lines(str(tmp_path / "all" / "eval.csv"))) == 5
+
+        assert run("eval", "--config", cfg, "--data", dataset, *ckpts,
+                   "--out-dir", tmp_path / "held", "--train-fraction", 0.5) == 0
+        assert "held-out" not in capsys.readouterr().out
+
     def test_rerun_is_byte_identical(self, ws, dataset, pretrained, finetuned,
                                      tmp_path):
         _, cfg = ws

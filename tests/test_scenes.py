@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from querysplat import geometry as geo
+from querysplat import renderer as rd
 from querysplat import scenes as sc
 
 from test_geometry import gaussian_records, project_gaussian
@@ -173,6 +174,49 @@ class TestBakeGroundTruth:
         np.testing.assert_array_equal(sample.bounds, scene.bounds)
 
 
+def reference_views(scene):
+    """The per-pixel reference render of every view of a scene."""
+    return [rd.render_reference(scene.arrays(), cam) for cam in scene.cameras]
+
+
+class TestBakeMatchesReference:
+    # The bake composites with the footprint-pair renderer; the per-pixel
+    # reference is its oracle. Both make the same drop and early-stop
+    # decisions, so the mask is bit-equal; RGB and depth sum in different
+    # orders (bincount in depth order against a matmul), so they agree to
+    # rounding only.
+    @pytest.mark.parametrize(
+        "n_objects, image_size", [(1, (64, 64)), (3, (64, 64)), (3, (64, 32))],
+        ids=["1obj-64x64", "3obj-64x64", "3obj-64x32"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bake_equals_reference(self, n_objects, image_size, seed):
+        spec = dict(GOLDEN_SPEC, n_objects=n_objects, image_size=image_size)
+        scene = sc.generate_scene(spec, seed=seed)
+        sample = sc.bake_ground_truth(scene)
+        refs = reference_views(scene)
+        W, H = image_size
+        assert sample.rgb.shape == (4, H, W, 3)
+        mask = np.stack([r.alpha_acc > 0.5 for r in refs])
+        assert mask.any()
+        np.testing.assert_array_equal(sample.valid_mask, mask)
+        np.testing.assert_allclose(sample.rgb, np.stack([r.rgb for r in refs]),
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sample.dense_depth, np.stack([r.depth for r in refs]),
+                                   rtol=0, atol=1e-14)
+
+    def test_bake_does_not_run_the_reference(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bake_ground_truth called render_reference")
+
+        scene = sc.generate_scene(SPEC, seed=3)
+        expected = sc.bake_ground_truth(scene)
+        monkeypatch.setattr(rd, "render_reference", refuse)
+        sample = sc.bake_ground_truth(scene)
+        assert sample.rgb.tobytes() == expected.rgb.tobytes()
+        assert sample.valid_mask.any()
+
+
 class TestSparsifyDepth:
     def _sample(self):
         return sc.bake_ground_truth(sc.generate_scene(SPEC, seed=2))
@@ -321,8 +365,12 @@ class TestScenePersistence:
 
 # sha256 of the bytes written for generate_scene(GOLDEN_SPEC, seed=0) when
 # a scene still held a list of per-Gaussian objects: the scene file, and
-# the baked RGB and dense depth as float64 arrays. The record-array form
-# must keep every byte.
+# the RGB and dense depth of the per-pixel reference render of every view as
+# float64 arrays, which is what the bake wrote while it used the reference.
+# The record-array form must keep every byte. "bake_rgb" and
+# "bake_dense_depth" pin the bake itself, which renders with the
+# footprint-pair path; it agrees with the reference to rounding (see
+# TestBakeMatchesReference), not byte for byte.
 GOLDEN_SPEC = {
     "n_objects": 1,
     "bounds": [[-1, -1, -1], [1, 1, 1]],
@@ -333,7 +381,13 @@ GOLDEN = {
     "scene": "929e520bfbc782924839501d420674d934f84454411e61cca01ff8dae4b9287b",
     "rgb": "cf7371ca7530649c952305c2977d29c702e79f37145398b6351dbf98d6dcd0da",
     "dense_depth": "f5d7546b2b281b17b173324332ee30f409b9394745c8c5bb19246aeae601c2f3",
+    "bake_rgb": "f1d27b258c0fc81b37fb3dac61a5a7bc6ce76d4dca19ac05fadf03bf675c457a",
+    "bake_dense_depth": "3dc13edb5fc6089b27467ef0c2baba4318c4b744df5932ced996185bf1402e78",
 }
+
+
+def sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
 
 
 class TestGoldenBytes:
@@ -341,11 +395,14 @@ class TestGoldenBytes:
         scene = sc.generate_scene(GOLDEN_SPEC, seed=0)
         path = tmp_path / "scene.bin"
         sc.save_scene(path, scene)
+        refs = reference_views(scene)
         sample = sc.bake_ground_truth(scene)
         got = {
             "scene": hashlib.sha256(path.read_bytes()).hexdigest(),
-            "rgb": hashlib.sha256(sample.rgb.tobytes()).hexdigest(),
-            "dense_depth": hashlib.sha256(sample.dense_depth.tobytes()).hexdigest(),
+            "rgb": sha256(np.stack([r.rgb for r in refs])),
+            "dense_depth": sha256(np.stack([r.depth for r in refs])),
+            "bake_rgb": sha256(sample.rgb),
+            "bake_dense_depth": sha256(sample.dense_depth),
         }
         assert got == GOLDEN
         back = sc.bake_ground_truth(sc.load_scene(path))
