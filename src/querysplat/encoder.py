@@ -157,6 +157,15 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
     contribute zero (zero-padded bilinear), so a fully out-of-bounds pixel
     yields a zero vector with zero gradient. An optional (M, 1) 0/1 mask
     multiplies the result, suppressing value and gradient. Returns (M, c).
+
+    The method depends only on the map's size. A small map, h*w + 1 <= 4*c
+    cells counting the zero sentinel, is sampled through a dense (M, h*w + 1)
+    interpolation matrix W with four weights per row: the forward is W @ map
+    and the map cotangent W.T @ g, two BLAS calls. W then holds no more
+    entries than the (4, M, c) corner array that a larger map gathers and
+    keeps for its VJP, whose map cotangent is one bincount over 4*M*c keys;
+    so the choice never raises memory. Both give the same values up to
+    summation order.
     """
     h, w, c = level_map.data.shape
     pix = pixels if isinstance(pixels, ad.Tensor) else ad.constant(pixels)
@@ -175,17 +184,38 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
     cy = y0[None, :] + np.array([[0], [0], [1], [1]])
     inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
     idx = np.where(inside, cy * w + cx, h * w)  # (4, M)
-    corner = padded[idx]  # (4, M, c)
     wt = np.stack([wu[0] * wv[0], wu[1] * wv[0], wu[0] * wv[1], wu[1] * wv[1]])
     if mask is not None:
         mask = np.asarray(mask, dtype=np.float64).reshape(-1)
         wt = wt * mask
-    out = np.einsum("amc,am->mc", corner, wt)
+
+    if h * w + 1 <= 4 * c:
+        # In-bounds corners of a row are distinct cells; out-of-bounds ones
+        # share the sentinel column with weight 0.
+        interp = np.zeros((idx.shape[1], h * w + 1))
+        interp[np.arange(idx.shape[1]), idx] = np.where(inside, wt, 0.0)
+        out = interp @ padded
+
+        def map_grad(g):
+            return interp.T @ g
+
+        def corner_grad(g):  # (4, M): g contracted with each corner's features
+            return np.take_along_axis(g @ padded.T, idx.T, axis=1).T
+
+    else:
+        corner = padded[idx]  # (4, M, c)
+        out = np.einsum("amc,am->mc", corner, wt)
+
+        def map_grad(g):
+            return ad._index_add((h * w + 1, c), idx.reshape(-1), wt[:, :, None] * g[None])
+
+        def corner_grad(g):
+            return np.einsum("amc,mc->am", corner, g)
 
     def vjp(g):
-        gmap = ad._index_add((h * w + 1, c), idx.reshape(-1), wt[:, :, None] * g[None])
+        gmap = map_grad(g)
         # d out / d(fu, fv) per corner, contracted with g over channels first.
-        gc = np.einsum("amc,mc->am", corner, g)
+        gc = corner_grad(g)
         gfu = wv[0] * (gc[1] - gc[0]) + wv[1] * (gc[3] - gc[2])
         gfv = wu[0] * (gc[2] - gc[0]) + wu[1] * (gc[3] - gc[1])
         if mask is not None:
@@ -194,10 +224,3 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
         return gmap[: h * w].reshape(h, w, c), gpix
 
     return ad.custom((level_map, pix), out, vjp, name="bilinear")
-
-
-def bilinear_sample(level_map, pixel, stride):
-    """Single-pixel convenience wrapper around bilinear_sample_batch -> (c,)."""
-    pixel = np.asarray(pixel, dtype=np.float64).reshape(1, 2)
-    c = level_map.data.shape[2]
-    return ad.reshape(bilinear_sample_batch(level_map, pixel, stride), (c,))

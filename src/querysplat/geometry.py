@@ -71,8 +71,12 @@ class Camera:
         self.intrinsics = np.asarray(self.intrinsics, dtype=np.float64).reshape(3, 3)
         self.extrinsics = np.asarray(self.extrinsics, dtype=np.float64).reshape(4, 4)
         self.image_size = (int(self.image_size[0]), int(self.image_size[1]))
+        if not (np.isfinite(self.intrinsics).all() and np.isfinite(self.extrinsics).all()):
+            raise ValueError("camera intrinsics and extrinsics must be finite")
         R = self.extrinsics[:3, :3]
-        if not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
+        # An orthonormal block has no entry above 1; checking that first
+        # keeps R @ R.T from overflowing on a huge entry.
+        if not (np.abs(R).max() <= 1.0 + 1e-9 and np.allclose(R @ R.T, np.eye(3), atol=1e-9)):
             raise ValueError("extrinsics rotation block is not orthonormal within 1e-9")
         if np.linalg.det(R) < 0.0:
             raise ValueError("extrinsics rotation block has negative determinant")

@@ -134,7 +134,9 @@ def read_pfm(path):
         dtype = "<f4" if scale < 0.0 else ">f4"
         raw = _read_exact(f, height * width * 4, "PFM pixel data")
     data = np.frombuffer(raw, dtype=dtype).reshape(height, width)
-    return data[::-1].astype(np.float64)  # back to top-down
+    # A signalling NaN in the file would warn in the cast; it reads as NaN.
+    with np.errstate(invalid="ignore"):
+        return data[::-1].astype(np.float64)  # back to top-down
 
 
 def write_mask(path, mask):

@@ -60,17 +60,21 @@ class Scene:
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=np.float64).reshape(2, 3)
-        if not np.all(self.bounds[1] > self.bounds[0]):
+        if not (np.isfinite(self.bounds).all() and np.all(self.bounds[1] > self.bounds[0])):
             raise ValueError(f"degenerate bounds: {self.bounds.tolist()}")
         if len(self.cameras) < 1:
             raise ValueError("scene needs at least one camera")
         g = np.asarray(self.gaussians, dtype=GAUSSIAN_DTYPE).reshape(-1).view(np.recarray)
         self.gaussians = g
-        # Each check is false for NaN, so a NaN field is rejected too.
+        # Each check is false for NaN, so a NaN field is rejected too. A unit
+        # quaternion has no component above 1, so only bounded ones take the
+        # norm, which then cannot overflow.
+        bounded = np.all(np.abs(g.quat) <= 1.0 + 1e-9, axis=1)
+        norm = np.linalg.norm(np.where(bounded[:, None], g.quat, 0.0), axis=1)
         checks = [
-            ("quaternion norm is not 1 within 1e-9",
-             np.abs(np.linalg.norm(g.quat, axis=1) - 1.0) <= 1e-9),
-            ("scale is not positive", np.all(g.scale > 0.0, axis=1)),
+            ("quaternion norm is not 1 within 1e-9", bounded & (np.abs(norm - 1.0) <= 1e-9)),
+            ("scale is not positive and finite",
+             np.all(np.isfinite(g.scale) & (g.scale > 0.0), axis=1)),
             ("mean is outside bounds",
              np.all((g.mu >= self.bounds[0]) & (g.mu <= self.bounds[1]), axis=1)),
             ("opacity is outside [0, 1]", (g.opacity >= 0.0) & (g.opacity <= 1.0)),

@@ -162,7 +162,7 @@ class TestUsageAndExitCodes:
 
 
 class TestForgedHeaders:
-    """A header declaring more data than its file holds exits 1, naming it."""
+    """A forged header exits 1, naming what is wrong with it."""
 
     def forged_copy(self, dataset, tmp_path, name, offset, value):
         src = os.path.join(dataset, "scenes", "0000")
@@ -183,6 +183,14 @@ class TestForgedHeaders:
         code = run("pretrain", "--config", cfg, "--data", data, "--out-dir", tmp_path / "o")
         assert code == 1
         assert "gaussian records needs" in capsys.readouterr().err
+
+    def test_scene_non_finite_bounds(self, ws, dataset, tmp_path, capsys):
+        _, cfg = ws
+        data = self.forged_copy(dataset, tmp_path, "scene.bin", 16,
+                                np.float64(-np.inf).tobytes())  # xmin
+        code = run("pretrain", "--config", cfg, "--data", data, "--out-dir", tmp_path / "o")
+        assert code == 1
+        assert "degenerate bounds" in capsys.readouterr().err
 
     def test_mask_size(self, ws, dataset, tmp_path, capsys):
         _, cfg = ws

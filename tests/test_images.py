@@ -102,6 +102,12 @@ class TestPFM:
         with pytest.raises(im.ImageFormatError, match="scale"):
             im.read_pfm(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_signalling_nan_reads_as_nan_without_warning(self, tmp_path):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n2 1\n-1.0\n" + np.array([0x7FA00000, 0], "<u4").tobytes())
+        np.testing.assert_array_equal(im.read_pfm(path), [[np.nan, 0.0]])
+
 
 class TestMask:
     def test_round_trip(self, tmp_path):

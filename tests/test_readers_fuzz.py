@@ -5,7 +5,8 @@ Each reader starts from a valid file, which is then truncated, flipped at a
 few bytes, overwritten in its header, or given trailing bytes. Whatever the
 damage, the reader must return a value or raise its own format error
 (ImageFormatError, SceneFormatError, CheckpointError), never another
-exception.
+exception. A reader must not warn on the way either: a NumPy RuntimeWarning
+(an overflow while validating, say) fails the test.
 """
 
 import numpy as np
@@ -24,6 +25,8 @@ from querysplat.images import (
     write_pfm,
     write_ppm,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 HEADER_BYTES = 96  # covers every format's header, up to the scene's first record
 

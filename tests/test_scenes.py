@@ -339,6 +339,7 @@ class TestScenePersistence:
         with pytest.raises(sc.SceneFormatError, match="gaussian records needs"):
             sc.load_scene(path)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -347,6 +348,9 @@ class TestScenePersistence:
             ("mu", [0.0, 0.0, 9.0], "outside bounds"),
             ("opacity", np.nan, "opacity"),
             ("color", [0.5, 1.5, 0.5], "color"),
+            ("quat", [1e300, 0.0, 0.0, 0.0], "quaternion"),
+            ("quat", [np.inf, 0.0, 0.0, 0.0], "quaternion"),
+            ("scale", [0.1, np.inf, 0.1], "scale"),
         ],
     )
     def test_invalid_gaussian_rejected(self, tmp_path, field, value, message):
@@ -360,6 +364,33 @@ class TestScenePersistence:
         data[72 : 72 + records.nbytes] = records.tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(sc.SceneFormatError, match=f"gaussian 5: .*{message}"):
+            sc.load_scene(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "record, entry, value, message",
+        [
+            ("bounds", 0, -np.inf, "bounds"),
+            ("bounds", 4, np.nan, "bounds"),
+            ("intrinsics", 2, np.inf, "finite"),
+            ("extrinsics", 3, np.nan, "finite"),
+            ("extrinsics", 1, 1e200, "orthonormal"),
+        ],
+    )
+    def test_non_finite_header_rejected_without_warnings(self, tmp_path, record, entry,
+                                                         value, message):
+        # The f8 entry `entry` of the bounds or of camera 1's intrinsics or
+        # extrinsics is overwritten.
+        scene = sc.generate_scene(SPEC, seed=1)
+        path = tmp_path / "scene.bin"
+        sc.save_scene(path, scene)
+        data = bytearray(path.read_bytes())
+        cameras_at = 72 + scene.gaussians.nbytes
+        offset = {"bounds": 16, "intrinsics": cameras_at + 208,
+                  "extrinsics": cameras_at + 208 + 72}[record]
+        data[offset + 8 * entry : offset + 8 * entry + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(sc.SceneFormatError, match=message):
             sc.load_scene(path)
 
 
