@@ -225,7 +225,6 @@ def cmd_pretrain(cfg, args):
         resume_state = load_checkpoint(args.resume)
 
     p = cfg["pretrain"]
-    rcfg = cf.render_config(cfg)
     snapshot_every = int(p["snapshot_every"])
 
     def snapshot(step, loss, lr, model):
@@ -233,7 +232,7 @@ def cmd_pretrain(cfg, args):
             return
         snap_dir = os.path.join(out, "snapshots", f"step{step:06d}")
         os.makedirs(snap_dir, exist_ok=True)
-        _write_views(model, samples[0], rcfg, snap_dir, with_gt=False)
+        _write_views(model, samples[0], snap_dir, with_gt=False)
 
     losses = pt.run_pretraining(
         model,
@@ -260,7 +259,7 @@ def cmd_pretrain(cfg, args):
     return 0
 
 
-def _write_views(model, sample, rcfg, out_dir, with_gt):
+def _write_views(model, sample, out_dir, with_gt):
     head, _ = pt.decode_sample(model, sample)
     gaussians = {
         name: getattr(head, name).data
@@ -268,7 +267,7 @@ def _write_views(model, sample, rcfg, out_dir, with_gt):
     }
     n = 0
     for k, cam in enumerate(sample.cameras):
-        out = rd.render(gaussians, cam, rcfg)
+        out = rd.render(gaussians, cam)
         write_ppm(os.path.join(out_dir, f"view{k}.ppm"), out.rgb)
         write_pfm(os.path.join(out_dir, f"view{k}.pfm"), out.depth)
         n += 2
@@ -291,7 +290,7 @@ def cmd_render(cfg, args):
     sample = sc.bake_ground_truth(scene)
     render_dir = os.path.join(out, "render")
     os.makedirs(render_dir, exist_ok=True)
-    n = _write_views(model, sample, cf.render_config(cfg), render_dir, with_gt=True)
+    n = _write_views(model, sample, render_dir, with_gt=True)
     print(f"wrote {n} files to {render_dir}")
     return 0
 
@@ -582,7 +581,7 @@ def main(argv=None):
     except (UsageError, cf.ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, sc.SceneFormatError, CheckpointError) as e:
+    except (OSError, sc.SceneFormatError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (pt.PretrainDivergedError, ad.NondeterministicError) as e:

@@ -16,10 +16,10 @@ import copy
 import json
 import os
 
+from . import encoder as enc
 from .decoder import DecoderConfig
 from .finetune import InteractionConfig
 from .pretrain import LossWeights
-from .renderer import RenderConfig
 
 # Every configurable knob with its default. `seed: None` means "not set",
 # resolved against SQS_SEED at load time.
@@ -34,17 +34,10 @@ DEFAULTS = {
         "image_size": [64, 64],
         "keep_rate": 0.3,
     },
-    "render": {
-        "tile_size": 16,
-        "alpha_clamp": 0.9999,
-        "contribution_floor": 1.0 / 255.0,
-        "early_stop_transmittance": 1e-4,
-    },
     "decoder": {
         "n_layers": 2,
         "n_offsets": 4,
         "n_heads": 4,
-        "n_levels": 4,
         "voxel_size": None,
         "queries": 512,
         "feature_dim": 64,
@@ -121,6 +114,8 @@ def load_config(path=None, overrides=None):
                 document = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as e:
+            raise ConfigError(f"config file {path} cannot be read: {e.strerror}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(document, dict):
@@ -141,7 +136,6 @@ def load_config(path=None, overrides=None):
 def validate(cfg):
     """Build every typed sub-config so its own invariants run."""
     try:
-        render_config(cfg)
         decoder_config(cfg)
         loss_weights(cfg)
         interaction_config(cfg)
@@ -151,6 +145,14 @@ def validate(cfg):
     for key in ("n_scenes", "n_objects", "n_views"):
         if int(data[key]) < 1:
             raise ConfigError(f"data.{key} must be >= 1, got {data[key]}")
+    # The encoder halves each view down to its coarsest pyramid stride.
+    stride = enc.STRIDES[-1]
+    size = data["image_size"]
+    if not (isinstance(size, list) and len(size) == 2
+            and all(isinstance(v, int) and v >= 1 and v % stride == 0 for v in size)):
+        raise ConfigError(
+            f"data.image_size must be two positive multiples of {stride}, got {size!r}"
+        )
     if not 0.0 < float(data["keep_rate"]) <= 1.0:
         raise ConfigError(f"data.keep_rate must be in (0, 1], got {data['keep_rate']}")
     ft = cfg["finetune"]
@@ -175,16 +177,6 @@ def write_resolved(cfg, out_dir):
     return path
 
 
-def render_config(cfg):
-    r = cfg["render"]
-    return RenderConfig(
-        tile_size=int(r["tile_size"]),
-        alpha_clamp=float(r["alpha_clamp"]),
-        contribution_floor=float(r["contribution_floor"]),
-        early_stop_transmittance=float(r["early_stop_transmittance"]),
-    )
-
-
 def decoder_config(cfg):
     d = cfg["decoder"]
     return DecoderConfig(
@@ -192,7 +184,6 @@ def decoder_config(cfg):
         n_offsets=int(d["n_offsets"]),
         n_heads=int(d["n_heads"]),
         n_views=int(cfg["data"]["n_views"]),
-        n_levels=int(d["n_levels"]),
         voxel_size=None if d["voxel_size"] is None else float(d["voxel_size"]),
         K=int(d["queries"]),
         feature_dim=int(d["feature_dim"]),

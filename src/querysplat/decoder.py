@@ -41,7 +41,7 @@ class DecoderConfig:
     n_offsets: int = 4
     n_heads: int = 4
     n_views: int = 4
-    n_levels: int = 4
+    n_levels: int = len(enc.STRIDES)  # the encoder builds one level per stride
     voxel_size: float | None = None  # None -> bounds extent / 32
     K: int = 512
     feature_dim: int = 64
@@ -132,16 +132,6 @@ def init_anchor_array(K, bounds, seed):
         anchors[:, anchor_slice(group)] = bias
     anchors[:, anchor_slice("pos")] = np.log(u / (1.0 - u))
     return anchors
-
-
-def init_queries(K, bounds, seed, feature_dim=64):
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return GaussianQuerySet(
-        anchors=ad.Tensor(init_anchor_array(K, bounds, seed), name="anchors"),
-        features=ad.constant(np.zeros((K, feature_dim))),
-        bounds=bounds,
-    )
 
 
 def decode_positions(anchors, bounds):

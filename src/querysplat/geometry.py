@@ -35,9 +35,7 @@ __all__ = [
     "COV2D_REG",
     "quaternion_to_rotation",
     "quaternion_to_rotation_batch",
-    "rotation_jacobian_wrt_quaternion",
     "rotation_jacobian_batch",
-    "covariance_from_scale_rotation",
     "project_gaussians_batch",
     "project_points_batch",
 ]
@@ -135,15 +133,6 @@ def quaternion_to_rotation_batch(quats: np.ndarray) -> np.ndarray:
     return R
 
 
-def rotation_jacobian_wrt_quaternion(quat: np.ndarray) -> np.ndarray:
-    """dR/dq for the normalized rotation, as a (4, 3, 3) array.
-
-    Includes the normalization step: R is evaluated at q/||q||, so the
-    Jacobian is (dR/dq_hat) composed with the projection (I - q_hat q_hat^T)/||q||.
-    """
-    return rotation_jacobian_batch(np.asarray(quat, dtype=np.float64).reshape(1, 4))[0]
-
-
 def rotation_jacobian_batch(quats: np.ndarray) -> np.ndarray:
     """(K, 4) quaternions -> (K, 4, 3, 3) rotation Jacobians dR/dq."""
     q = np.asarray(quats, dtype=np.float64).reshape(-1, 4)
@@ -170,16 +159,6 @@ def rotation_jacobian_batch(quats: np.ndarray) -> np.ndarray:
     # Chain through normalization: dqh/dq = (I - qh qh^T) / norm.
     proj = (np.eye(4)[None] - qh[:, :, None] * qh[:, None, :]) / norms[:, None, None]
     return np.einsum("kab,kbij->kaij", proj, dR)
-
-
-def covariance_from_scale_rotation(scale: np.ndarray, quat: np.ndarray) -> np.ndarray:
-    """World covariance Sigma = R S S^T R^T for positive scales."""
-    s = np.asarray(scale, dtype=np.float64).reshape(3)
-    if np.any(s <= 0.0):
-        raise ValueError(f"scale components must be positive, got {s}")
-    R = quaternion_to_rotation(quat)
-    RS = R * s[None, :]  # columns scaled: R @ diag(s)
-    return RS @ RS.T
 
 
 def project_points_batch(mus: np.ndarray, cam: Camera) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

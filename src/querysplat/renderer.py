@@ -50,7 +50,6 @@ __all__ = [
     "RenderOutput",
     "RenderCache",
     "check_config",
-    "alpha_composite",
     "render",
     "render_reference",
     "render_forward",
@@ -139,38 +138,6 @@ def _quad_cutoff(opacity: np.ndarray, floor: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         cut = 2.0 * (np.log(op) - np.log(eff))
     return np.where(op <= eff, -np.inf, cut)
-
-
-def alpha_composite(
-    contributions,
-    config: RenderConfig = DEFAULT_CONFIG,
-    checked: bool = True,
-) -> tuple[np.ndarray, float, float]:
-    """Front-to-back compositing of an ordered (alpha, color, distance) list.
-
-    Returns (color (3,), depth, alpha_acc). Stops once transmittance drops
-    below the configured early-stop threshold. When ``checked``, rejects
-    input whose distances are not non-decreasing.
-    """
-    items = list(contributions)
-    if checked:
-        for i in range(1, len(items)):
-            if items[i][2] < items[i - 1][2]:
-                raise ValueError(
-                    f"contributions not sorted front-to-back at position {i}"
-                )
-    stop = config.early_stop_transmittance
-    T = 1.0
-    color = np.zeros(3, dtype=np.float64)
-    depth = 0.0
-    for alpha, c, d in items:
-        if T < stop:
-            break
-        w = T * alpha
-        color = color + w * np.asarray(c, dtype=np.float64)
-        depth = depth + w * d
-        T = T * (1.0 - alpha)
-    return color, depth, 1.0 - T
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +373,9 @@ def _composite_pairs(prep, width: int, height: int, config: RenderConfig):
 def _composite_block(px, py, prep, slots, config, want_internals=False):
     """Composite the Gaussians at ``slots`` over the pixel block py x px.
 
-    Per pixel this reproduces alpha_composite exactly: the transmittance
-    recursion is a sequential cumulative product over the sorted slots.
+    Per pixel this is the front-to-back compositing of the module docstring:
+    the transmittance recursion is a sequential cumulative product over the
+    sorted slots.
     """
     h, w = py.shape[0], px.shape[0]
     L = slots.shape[0]

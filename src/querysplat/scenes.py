@@ -23,8 +23,8 @@ Scene container file (all fields little-endian):
         image size  2 uint32 (width, height)
 
 A file whose Gaussians break a Scene's rules (unit quaternions, positive
-scales, means inside the bounds, opacity and color in [0, 1]) is rejected
-like a malformed one, with SceneFormatError.
+scales no larger than the bounds diagonal, means inside the bounds, opacity
+and color in [0, 1]) is rejected like a malformed one, with SceneFormatError.
 """
 
 from __future__ import annotations
@@ -60,8 +60,11 @@ class Scene:
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=np.float64).reshape(2, 3)
-        if not (np.isfinite(self.bounds).all() and np.all(self.bounds[1] > self.bounds[0])):
-            raise ValueError(f"degenerate bounds: {self.bounds.tolist()}")
+        # Finite bounds can still have a diagonal that overflows to inf.
+        with np.errstate(over="ignore"):
+            if not (np.isfinite(self.bounds).all() and np.all(self.bounds[1] > self.bounds[0])
+                    and np.isfinite(self.extent)):
+                raise ValueError(f"degenerate bounds: {self.bounds.tolist()}")
         if len(self.cameras) < 1:
             raise ValueError("scene needs at least one camera")
         g = np.asarray(self.gaussians, dtype=GAUSSIAN_DTYPE).reshape(-1).view(np.recarray)
@@ -73,8 +76,8 @@ class Scene:
         norm = np.linalg.norm(np.where(bounded[:, None], g.quat, 0.0), axis=1)
         checks = [
             ("quaternion norm is not 1 within 1e-9", bounded & (np.abs(norm - 1.0) <= 1e-9)),
-            ("scale is not positive and finite",
-             np.all(np.isfinite(g.scale) & (g.scale > 0.0), axis=1)),
+            ("scale is not in (0, extent]",
+             np.all((g.scale > 0.0) & (g.scale <= self.extent), axis=1)),
             ("mean is outside bounds",
              np.all((g.mu >= self.bounds[0]) & (g.mu <= self.bounds[1]), axis=1)),
             ("opacity is outside [0, 1]", (g.opacity >= 0.0) & (g.opacity <= 1.0)),

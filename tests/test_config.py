@@ -1,13 +1,16 @@
 """Tests for the layered config system."""
 
 import json
+import os
+import re
 
 import pytest
 
 import querysplat.config as cf
 from querysplat.decoder import DecoderConfig
 from querysplat.finetune import InteractionConfig
-from querysplat.renderer import RenderConfig
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def write_json(tmp_path, document, name="run.json"):
@@ -26,6 +29,12 @@ class TestDefaults:
         assert cfg["decoder"]["queries"] == 512
         assert cfg["pretrain"]["w_rgb"] == 1.0
         assert cfg["pretrain"]["w_depth"] == 0.05
+
+    def test_readme_config_block_matches(self):
+        with open(README) as f:
+            text = f.read()
+        block = re.search(r"```jsonc\n(.*?)```", text, re.S).group(1)
+        assert json.loads(re.sub(r"\s*//.*", "", block)) == cf.DEFAULTS
 
     def test_returned_config_is_a_copy(self, monkeypatch):
         monkeypatch.delenv("SQS_SEED", raising=False)
@@ -104,6 +113,10 @@ class TestFileErrors:
         with pytest.raises(cf.ConfigError, match="not valid JSON"):
             cf.load_config(str(path))
 
+    def test_directory(self, tmp_path):
+        with pytest.raises(cf.ConfigError, match="cannot be read"):
+            cf.load_config(str(tmp_path))
+
     def test_non_object_document(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -133,6 +146,11 @@ class TestValidation:
             self.load(
                 {"pretrain": {"total_steps": 10, "warmup_steps": 10}}, tmp_path
             )
+
+    @pytest.mark.parametrize("size", [[48, 48], [64, 0], [-32, 64], 64])
+    def test_image_size_off_the_coarsest_stride_rejected(self, tmp_path, size):
+        with pytest.raises(cf.ConfigError, match="image_size"):
+            self.load({"data": {"image_size": size}}, tmp_path)
 
     def test_zero_scenes_rejected(self, tmp_path):
         with pytest.raises(cf.ConfigError, match="n_scenes"):
@@ -181,12 +199,6 @@ class TestTypedBuilders:
         assert dc.K == 64
         assert dc.n_views == 6
         assert dc.n_layers == 2
-
-    def test_render_config_fields(self):
-        rc = cf.render_config(self.cfg)
-        assert isinstance(rc, RenderConfig)
-        assert rc.tile_size == 16
-        assert rc.alpha_clamp == 0.9999
 
     def test_loss_weights(self):
         w = cf.loss_weights(self.cfg)

@@ -34,6 +34,16 @@ def make_setup(cfg, seed=42, image_size=(32, 32)):
     return store, pyramid, cameras
 
 
+def init_queries(K, bounds, seed, feature_dim=64):
+    """The decoder's initial query set: anchors from init_anchor_array and
+    features that are exactly zero, as PretrainModel.query_set builds it."""
+    return GaussianQuerySet(
+        anchors=ad.Tensor(dec.init_anchor_array(K, bounds, seed), name="anchors"),
+        features=ad.constant(np.zeros((K, feature_dim))),
+        bounds=bounds,
+    )
+
+
 def random_queries(K, seed=0, feature_dim=64, features=None):
     rng = np.random.default_rng(seed)
     anchors = dec.init_anchor_array(K, BOUNDS, seed)
@@ -58,11 +68,11 @@ class TestAnchorColumns:
 
 class TestInitQueries:
     def test_features_exactly_zero(self):
-        qs = dec.init_queries(64, BOUNDS, seed=1)
+        qs = init_queries(64, BOUNDS, seed=1)
         assert not qs.features.data.any()
 
     def test_decoded_positions_inside_bounds(self):
-        qs = dec.init_queries(10_000, BOUNDS, seed=2)
+        qs = init_queries(10_000, BOUNDS, seed=2)
         mu = dec.decode_positions(qs.anchors, BOUNDS).data
         assert np.all(mu > BOUNDS[0]) and np.all(mu < BOUNDS[1])
 
@@ -74,7 +84,7 @@ class TestInitQueries:
     def test_init_decodes_to_documented_constants(self):
         store = ad.ParamStore()
         dec.init_decoder_params(store, np.random.default_rng(0), DecoderConfig())
-        qs = dec.init_queries(16, BOUNDS, seed=4)
+        qs = init_queries(16, BOUNDS, seed=4)
         head = dec.gaussian_head(qs, store)
         extent = np.linalg.norm(BOUNDS[1] - BOUNDS[0])
         np.testing.assert_allclose(head.scale.data, 0.02 * extent, atol=1e-12)
@@ -85,7 +95,7 @@ class TestInitQueries:
 
     def test_bad_k_rejected(self):
         with pytest.raises(ValueError, match="K"):
-            dec.init_queries(0, BOUNDS, seed=0)
+            DecoderConfig(K=0)
 
 
 class TestVoxelize:
@@ -431,7 +441,7 @@ class TestRefineAndDecode:
         # freshly initialized layer leaves decoded positions unchanged.
         cfg = DecoderConfig(n_layers=1)
         store, pyramid, cameras = make_setup(cfg)
-        qs = dec.init_queries(cfg.K, BOUNDS, seed=23)
+        qs = init_queries(cfg.K, BOUNDS, seed=23)
         mu_before = dec.decode_positions(qs.anchors, BOUNDS).data.copy()
         head, _ = dec.decode(qs, pyramid, cameras, cfg, store)
         np.testing.assert_array_equal(head.mu.data, mu_before)
@@ -441,7 +451,7 @@ class TestRefineAndDecode:
         store, pyramid, cameras = make_setup(cfg)
         r = 1.7
         store["decoder.layer0.head_opacity.b2"].data = np.array([r])
-        qs = dec.init_queries(cfg.K, BOUNDS, seed=24)
+        qs = init_queries(cfg.K, BOUNDS, seed=24)
         head, _ = dec.decode(qs, pyramid, cameras, cfg, store)
         np.testing.assert_allclose(
             head.opacity.data, 1.0 / (1.0 + np.exp(-r)), atol=1e-12
@@ -453,7 +463,7 @@ class TestRefineAndDecode:
         for name in store.names():
             if name.startswith("decoder.layer"):
                 store[name].data = np.zeros_like(store[name].data)
-        qs = dec.init_queries(8, BOUNDS, seed=25)
+        qs = init_queries(8, BOUNDS, seed=25)
         head, final = dec.decode(qs, pyramid, cameras, cfg, store)
         # Positions survive (delta 0); features never leave zero.
         np.testing.assert_array_equal(
@@ -474,7 +484,7 @@ class TestRefineAndDecode:
     def test_n_layers_zero_decodes_initial_anchors(self):
         cfg = DecoderConfig(n_layers=0)
         store, pyramid, cameras = make_setup(cfg)
-        qs = dec.init_queries(16, BOUNDS, seed=26)
+        qs = init_queries(16, BOUNDS, seed=26)
         head, _ = dec.decode(qs, pyramid, cameras, cfg, store)
         expected = dec.gaussian_head(qs, store)
         np.testing.assert_array_equal(head.mu.data, expected.mu.data)
@@ -483,7 +493,7 @@ class TestRefineAndDecode:
     def test_decode_deterministic(self):
         cfg = DecoderConfig(n_layers=2)
         store, pyramid, cameras = make_setup(cfg)
-        qs = dec.init_queries(32, BOUNDS, seed=27)
+        qs = init_queries(32, BOUNDS, seed=27)
         h1, _ = dec.decode(qs, pyramid, cameras, cfg, store)
         h2, _ = dec.decode(qs, pyramid, cameras, cfg, store)
         for field in ("mu", "scale", "quat", "opacity", "color"):
@@ -492,7 +502,7 @@ class TestRefineAndDecode:
     def test_decode_does_not_mutate_inputs(self):
         cfg = DecoderConfig(n_layers=1)
         store, pyramid, cameras = make_setup(cfg)
-        qs = dec.init_queries(8, BOUNDS, seed=28)
+        qs = init_queries(8, BOUNDS, seed=28)
         anchors_before = qs.anchors.data.copy()
         state_before = store.state_dict()
         dec.decode(qs, pyramid, cameras, cfg, store)

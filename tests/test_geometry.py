@@ -45,6 +45,15 @@ def project_gaussian(g, cam, index=0):
     )
 
 
+def covariance_from_scale_rotation(scale, quat):
+    """Scalar oracle: world covariance Sigma = R S S^T R^T of one Gaussian."""
+    s = np.asarray(scale, dtype=np.float64).reshape(3)
+    if np.any(s <= 0.0):
+        raise ValueError(f"scale components must be positive, got {s}")
+    RS = geo.quaternion_to_rotation(quat) * s[None, :]  # columns scaled: R @ diag(s)
+    return RS @ RS.T
+
+
 def make_camera(fx=100.0, fy=100.0, cx=50.0, cy=50.0, extrinsics=None, size=(100, 100)):
     K = np.array([[fx, 0.0, cx], [0.0, fy, cy], [0.0, 0.0, 1.0]])
     T = np.eye(4) if extrinsics is None else extrinsics
@@ -94,7 +103,7 @@ class TestQuaternionToRotation:
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
             q *= rng.uniform(0.6, 1.8)  # exercise the normalization chain
-            analytic = geo.rotation_jacobian_wrt_quaternion(q)
+            analytic = geo.rotation_jacobian_batch(q[None])[0]
             eps = 1e-6
             for c in range(4):
                 qp, qm = q.copy(), q.copy()
@@ -106,11 +115,11 @@ class TestQuaternionToRotation:
 
 class TestCovariance:
     def test_unit_scale_identity(self):
-        S = geo.covariance_from_scale_rotation(np.ones(3), np.array([1.0, 0.0, 0.0, 0.0]))
+        S = covariance_from_scale_rotation(np.ones(3), np.array([1.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(S, np.eye(3), atol=1e-15)
 
     def test_axis_aligned_scaling(self):
-        S = geo.covariance_from_scale_rotation(
+        S = covariance_from_scale_rotation(
             np.array([2.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])
         )
         np.testing.assert_allclose(S, np.diag([4.0, 1.0, 1.0]), atol=1e-15)
@@ -118,14 +127,14 @@ class TestCovariance:
     def test_rotated_scaling(self):
         # 90 deg about z maps the stretched x-axis onto y.
         s = np.sqrt(2.0) / 2.0
-        S = geo.covariance_from_scale_rotation(
+        S = covariance_from_scale_rotation(
             np.array([2.0, 1.0, 1.0]), np.array([s, 0.0, 0.0, s])
         )
         np.testing.assert_allclose(S, np.diag([1.0, 4.0, 1.0]), atol=1e-12)
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            geo.covariance_from_scale_rotation(
+            covariance_from_scale_rotation(
                 np.array([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])
             )
 
@@ -136,9 +145,21 @@ class TestCovariance:
             scale = rng.uniform(0.1, 3.0, size=3)
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
-            S = geo.covariance_from_scale_rotation(scale, q)
+            S = covariance_from_scale_rotation(scale, q)
             eig = np.sort(np.linalg.eigvalsh(S))
             np.testing.assert_allclose(eig, np.sort(scale**2), atol=1e-10)
+
+    def test_projection_builds_the_oracle_covariance(self):
+        rng = np.random.default_rng(43)
+        scales = rng.uniform(0.1, 3.0, size=(50, 3))
+        quats = rng.normal(size=(50, 4))
+        cov3d = geo.project_gaussians_batch(
+            rng.normal(size=(50, 3)), quats, scales, make_camera()
+        )["cov3d"]
+        for k in range(50):
+            np.testing.assert_allclose(
+                cov3d[k], covariance_from_scale_rotation(scales[k], quats[k]), atol=1e-12
+            )
 
 
 class TestProjection:

@@ -49,6 +49,34 @@ def projected(opacity=1.0, mean=(0.0, 0.0), cov=None, dist=2.0, color=(1.0, 0.0,
     )
 
 
+def alpha_composite(contributions, config=rd.DEFAULT_CONFIG, checked=True):
+    """Scalar oracle: front-to-back compositing of an ordered (alpha, color,
+    distance) list; returns (color (3,), depth, alpha_acc).
+
+    Stops once transmittance drops below the configured early-stop
+    threshold. When ``checked``, rejects input whose distances are not
+    non-decreasing.
+    """
+    items = list(contributions)
+    if checked:
+        for i in range(1, len(items)):
+            if items[i][2] < items[i - 1][2]:
+                raise ValueError(
+                    f"contributions not sorted front-to-back at position {i}"
+                )
+    T = 1.0
+    color = np.zeros(3, dtype=np.float64)
+    depth = 0.0
+    for alpha, c, d in items:
+        if T < config.early_stop_transmittance:
+            break
+        w = T * alpha
+        color = color + w * np.asarray(c, dtype=np.float64)
+        depth = depth + w * d
+        T = T * (1.0 - alpha)
+    return color, depth, 1.0 - T
+
+
 def pixel_alpha(pg, pixel, config=rd.DEFAULT_CONFIG):
     """Scalar oracle: one Gaussian's alpha at one pixel, with clamp and floor."""
     ia, ib, ic = rd._invert_cov2d(pg.cov2d[None])
@@ -88,7 +116,7 @@ class TestPixelAlpha:
 
 class TestAlphaComposite:
     def test_single_opaque(self):
-        color, depth, acc = rd.alpha_composite([(1.0, (1.0, 0.0, 0.0), 2.0)])
+        color, depth, acc = alpha_composite([(1.0, (1.0, 0.0, 0.0), 2.0)])
         np.testing.assert_array_equal(color, [1.0, 0.0, 0.0])
         assert depth == 2.0
         assert acc == 1.0
@@ -96,7 +124,7 @@ class TestAlphaComposite:
     def test_two_gaussian_exact_case(self):
         # Expanding the compositing sums by hand:
         # w1 = 0.5, w2 = 0.5*1.0; color = (0.5, 0.5, 0); depth = 0.5*2 + 0.5*4.
-        color, depth, acc = rd.alpha_composite(
+        color, depth, acc = alpha_composite(
             [(0.5, (1.0, 0.0, 0.0), 2.0), (1.0, (0.0, 1.0, 0.0), 4.0)]
         )
         np.testing.assert_array_equal(color, [0.5, 0.5, 0.0])
@@ -104,21 +132,21 @@ class TestAlphaComposite:
         assert acc == 1.0
 
     def test_empty(self):
-        color, depth, acc = rd.alpha_composite([])
+        color, depth, acc = alpha_composite([])
         np.testing.assert_array_equal(color, np.zeros(3))
         assert depth == 0.0
         assert acc == 0.0
 
     def test_unsorted_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            rd.alpha_composite(
+            alpha_composite(
                 [(0.5, (1.0, 0.0, 0.0), 4.0), (0.5, (0.0, 1.0, 0.0), 2.0)]
             )
 
     def test_early_termination_freezes_transmittance(self):
         # After an alpha of 0.99999 the transmittance is 1e-5 < 1e-4, so the
         # second contribution is never composited.
-        color, depth, acc = rd.alpha_composite(
+        color, depth, acc = alpha_composite(
             [(0.99999, (1.0, 0.0, 0.0), 1.0), (1.0, (0.0, 1.0, 0.0), 2.0)],
             checked=True,
         )
@@ -129,7 +157,7 @@ class TestAlphaComposite:
         rng = np.random.default_rng(42)
         alphas = rng.uniform(0.0, 0.9, size=30)
         items = [(float(a), rng.uniform(size=3), float(d)) for a, d in zip(alphas, np.sort(rng.uniform(1, 5, size=30)))]
-        _, _, acc = rd.alpha_composite(items, rd.check_config())
+        _, _, acc = alpha_composite(items, rd.check_config())
         T = 1.0
         wsum = 0.0
         for a, _, _ in items:
@@ -192,7 +220,7 @@ class TestRenderForward:
             contribs = [
                 (pixel_alpha(p, pixel), p.color, p.cam_distance) for p in pgs
             ]
-            color, depth, acc = rd.alpha_composite(contribs, checked=False)
+            color, depth, acc = alpha_composite(contribs, checked=False)
             np.testing.assert_allclose(out.rgb[py, px], color, atol=1e-12)
             assert abs(out.depth[py, px] - depth) < 1e-12
             assert abs(out.alpha_acc[py, px] - acc) < 1e-12

@@ -351,6 +351,7 @@ class TestScenePersistence:
             ("quat", [1e300, 0.0, 0.0, 0.0], "quaternion"),
             ("quat", [np.inf, 0.0, 0.0, 0.0], "quaternion"),
             ("scale", [0.1, np.inf, 0.1], "scale"),
+            ("scale", [1e200, 0.1, 0.1], "scale"),
         ],
     )
     def test_invalid_gaussian_rejected(self, tmp_path, field, value, message):
@@ -372,6 +373,7 @@ class TestScenePersistence:
         [
             ("bounds", 0, -np.inf, "bounds"),
             ("bounds", 4, np.nan, "bounds"),
+            ("bounds", 0, -1e200, "bounds"),
             ("intrinsics", 2, np.inf, "finite"),
             ("extrinsics", 3, np.nan, "finite"),
             ("extrinsics", 1, 1e200, "orthonormal"),
