@@ -38,7 +38,6 @@ __all__ = [
     "concat",
     "narrow",
     "reshape",
-    "transpose",
     "reduce_sum",
     "gather",
     "scatter_add",
@@ -416,19 +415,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         return (g.reshape(x.shape),)
 
     return Tensor(out, (x,), vjp, name="reshape")
-
-
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    out = np.transpose(x.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = tuple(np.argsort(axes))
-
-    def vjp(g):
-        return (np.transpose(g, inverse),)
-
-    return Tensor(np.ascontiguousarray(out), (x,), vjp, name="transpose")
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:

@@ -341,7 +341,7 @@ def cmd_finetune(cfg, args):
         scenes,
         total_steps=int(f["steps"]),
         lr=float(f["lr"]),
-        use_interaction=bool(f["use_interaction"]),
+        use_interaction=f["use_interaction"],
         weight_decay=float(f["weight_decay"]),
         log_path=os.path.join(out, "metrics.csv"),
         checkpoint_path=os.path.join(out, "task.ckpt"),
@@ -370,7 +370,7 @@ def cmd_eval(cfg, args):
     except ValueError as e:
         raise UsageError(f"task checkpoint does not match the config: {e}")
 
-    use_interaction = bool(f["use_interaction"])
+    use_interaction = f["use_interaction"]
     rows = []
     for i, (scene, sample) in enumerate(zip(scenes, samples)):
         frozen = ft.infer_frozen(model, sample)

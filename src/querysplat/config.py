@@ -133,6 +133,18 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
+def _leaf(cfg, dotted, kind):
+    """The value at a dotted key converted by kind (int or float); a value
+    kind rejects raises ConfigError naming the key."""
+    section, key = dotted.split(".")
+    value = cfg[section][key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{dotted} must be {what}, got {value!r}")
+
+
 def validate(cfg):
     """Build every typed sub-config so its own invariants run."""
     try:
@@ -143,7 +155,7 @@ def validate(cfg):
         raise ConfigError(str(e))
     data = cfg["data"]
     for key in ("n_scenes", "n_objects", "n_views"):
-        if int(data[key]) < 1:
+        if _leaf(cfg, f"data.{key}", int) < 1:
             raise ConfigError(f"data.{key} must be >= 1, got {data[key]}")
     # The encoder halves each view down to its coarsest pyramid stride.
     stride = enc.STRIDES[-1]
@@ -153,17 +165,23 @@ def validate(cfg):
         raise ConfigError(
             f"data.image_size must be two positive multiples of {stride}, got {size!r}"
         )
-    if not 0.0 < float(data["keep_rate"]) <= 1.0:
+    if not 0.0 < _leaf(cfg, "data.keep_rate", float) <= 1.0:
         raise ConfigError(f"data.keep_rate must be in (0, 1], got {data['keep_rate']}")
     ft = cfg["finetune"]
-    if not 0.0 < float(ft["train_fraction"]) <= 1.0:
+    if not 0.0 < _leaf(cfg, "finetune.train_fraction", float) <= 1.0:
         raise ConfigError(
             f"finetune.train_fraction must be in (0, 1], got {ft['train_fraction']}"
         )
-    if int(cfg["pretrain"]["total_steps"]) <= int(cfg["pretrain"]["warmup_steps"]):
+    if not isinstance(ft["use_interaction"], bool):
+        raise ConfigError(
+            f"finetune.use_interaction must be true or false, got {ft['use_interaction']!r}"
+        )
+    steps = _leaf(cfg, "pretrain.total_steps", int)
+    warmup = _leaf(cfg, "pretrain.warmup_steps", int)
+    if steps <= warmup:
         raise ConfigError(
             "pretrain.total_steps must exceed pretrain.warmup_steps "
-            f"({cfg['pretrain']['total_steps']} <= {cfg['pretrain']['warmup_steps']})"
+            f"({steps} <= {warmup})"
         )
 
 
@@ -180,25 +198,26 @@ def write_resolved(cfg, out_dir):
 def decoder_config(cfg):
     d = cfg["decoder"]
     return DecoderConfig(
-        n_layers=int(d["n_layers"]),
-        n_offsets=int(d["n_offsets"]),
-        n_heads=int(d["n_heads"]),
-        n_views=int(cfg["data"]["n_views"]),
-        voxel_size=None if d["voxel_size"] is None else float(d["voxel_size"]),
-        K=int(d["queries"]),
-        feature_dim=int(d["feature_dim"]),
+        n_layers=_leaf(cfg, "decoder.n_layers", int),
+        n_offsets=_leaf(cfg, "decoder.n_offsets", int),
+        n_heads=_leaf(cfg, "decoder.n_heads", int),
+        n_views=_leaf(cfg, "data.n_views", int),
+        voxel_size=None if d["voxel_size"] is None else _leaf(cfg, "decoder.voxel_size", float),
+        K=_leaf(cfg, "decoder.queries", int),
+        feature_dim=_leaf(cfg, "decoder.feature_dim", int),
     )
 
 
 def loss_weights(cfg):
-    p = cfg["pretrain"]
-    return LossWeights(w_rgb=float(p["w_rgb"]), w_depth=float(p["w_depth"]))
+    return LossWeights(
+        w_rgb=_leaf(cfg, "pretrain.w_rgb", float),
+        w_depth=_leaf(cfg, "pretrain.w_depth", float),
+    )
 
 
 def interaction_config(cfg):
-    f = cfg["finetune"]
     return InteractionConfig(
-        k=int(f["k"]),
-        alpha_thresh=float(f["alpha_thresh"]),
-        pe_hidden=int(f["pe_hidden"]),
+        k=_leaf(cfg, "finetune.k", int),
+        alpha_thresh=_leaf(cfg, "finetune.alpha_thresh", float),
+        pe_hidden=_leaf(cfg, "finetune.pe_hidden", int),
     )

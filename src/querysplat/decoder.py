@@ -6,9 +6,11 @@ Anchors are (K, ANCHOR_DIM) raw parameters in the column groups position,
 scale, quat and opacity that ANCHOR_COLUMNS declares. Query features are
 (K, D) and start at exactly zero every decode. Each refine layer runs
 voxelized sparse convolution, deformable cross-attention, and a feed-forward
-block, then updates the anchors: the position head emits a delta in raw
-(pre-sigmoid) space while the scale, quat, and opacity heads replace their
-groups outright. Decoding activates raws via sigmoid ranges (position into
+block, then updates the anchors. The sparse conv is one tape node with an
+analytic VJP, and so is the attention's projection, sampling of every
+(view, level) map and head mixing. In the anchor update the position head
+emits a delta in raw (pre-sigmoid) space while the scale, quat, and opacity
+heads replace their groups outright. Decoding activates raws via sigmoid ranges (position into
 the scene bounds, scale into [0.001, 0.25] * bounds extent), quaternion
 normalization, and a color MLP on the final features.
 """
@@ -286,59 +288,95 @@ def voxelize_and_sparse_conv(qs, voxel_size, store, prefix):
     )
 
 
-def _project_points_engine(points, camera):
-    """In-graph pinhole projection of (M, 3) world points.
+def _project(points, camera):
+    """Pinhole projection of (M, 3) world points, with what its VJP needs.
 
-    Returns (pixels (M, 2) Tensor, in_front (M, 1) constant 0/1 mask).
-    Behind-near-plane points get a placeholder depth of 1 so the graph stays
-    finite; their samples must be masked out by the caller.
+    Returns (pixels (M, 2), in_front (M, 1) 0/1 mask, vjp). Points behind
+    the near plane get a placeholder depth of 1 so the pixels stay finite;
+    their samples must be masked out. vjp maps a pixel cotangent to the
+    points' cotangent.
     """
     W = camera.world_to_camera()
-    t = ad.add(ad.matmul(points, ad.constant(W[:3, :3].T)), ad.constant(W[:3, 3]))
-    z = ad.narrow(t, 1, 2, 1)  # (M, 1)
-    mask = (z.data > NEAR_PLANE).astype(np.float64)
-    z_safe = ad.add(z * mask, ad.constant(1.0 - mask))
-    inv_z = ad.reciprocal_pos(z_safe)
-    xy = ad.narrow(t, 1, 0, 2)
+    rot_t = np.ascontiguousarray(W[:3, :3].T)
+    t = points @ rot_t + W[:3, 3]
+    z = t[:, 2:3]
+    mask = (z > NEAR_PLANE).astype(np.float64)
+    z_safe = z * mask + (1.0 - mask)
+    inv_z = np.exp(-np.log(z_safe))
+    xy = t[:, :2]
     K = camera.intrinsics
     focal = np.array([K[0, 0], K[1, 1]])
     center = np.array([K[0, 2], K[1, 2]])
-    pixels = ad.add(ad.mul(ad.mul(xy, inv_z), ad.constant(focal)), ad.constant(center))
-    return pixels, mask
+    pixels = xy * inv_z * focal + center
+
+    def vjp(g):
+        g_scaled = g * focal
+        g_inv_z = (g_scaled * xy).sum(axis=1, keepdims=True)
+        g_z = -(g_inv_z * inv_z) / z_safe * mask
+        g_t = np.concatenate([g_scaled * inv_z, g_z], axis=1)
+        return g_t @ rot_t.T
+
+    return pixels, mask, vjp
 
 
-def _mix_heads(sampled, weights):
-    """Per-head weighted sum over the sampled features as one tape node.
+def _sample_and_mix(refs, pyramid, cameras, weights):
+    """Deformable sampling and per-head mixing as one tape node.
 
-    sampled: B tensors of shape (K * O, D_F), query-major, one per (view,
-    level) block; sample s = (b, o) enumerates them block by block.
-    weights: (K, H, S) with S = B * O. Returns (K, H, dh), out[k, h] =
-    sum_s weights[k, h, s] * value[k, s, h], where value[k, (b, o)] is row
-    k * O + o of block b split into H heads of width dh.
+    refs: (K * O, 3) Tensor of reference points, query-major. weights:
+    (K, H, S) Tensor with S = B * O over the B = views x levels blocks,
+    view-major. Each view projects the points once; each (view, level)
+    block samples its level map through encoder.bilinear_sample_batch, and
+    its (K * O, D_F) rows fill block b of the (K, S, D_F) value array,
+    value[k, (b, o)] = row k * O + o. Returns (K, D_F), where head h's
+    slice of row k is sum_s weights[k, h, s] * value[k, s, h-th slice].
+
+    The parents are refs, the B level maps and weights. The VJP sums each
+    view's pixel cotangent over its levels and chains it through the view's
+    projection.
     """
     w = weights.data
     K, H, S = w.shape
-    B = len(sampled)
+    maps = [lvl[vi] for vi in range(len(cameras)) for lvl in pyramid.levels]
+    B = len(maps)
     O = S // B
-    D = sampled[0].data.shape[1]
+    D = maps[0].data.shape[2]
     dh = D // H
-    value = np.concatenate(
-        [t.data.reshape(K, O * D) for t in sampled], axis=1
-    ).reshape(K, S, D)
+    L = len(pyramid.strides)
+    value = np.empty((K, B, O * D))
+    projections, samplers = [], []
+    for vi, cam in enumerate(cameras):
+        pixels, in_front, project_vjp = _project(refs.data, cam)
+        projections.append(project_vjp)
+        for li, stride in enumerate(pyramid.strides):
+            block = enc.bilinear_sample_batch(
+                maps[vi * L + li], pixels, stride, mask=in_front
+            )
+            value[:, vi * L + li] = block.data.reshape(K, O * D)
+            samplers.append(block._vjp)
+    value = value.reshape(K, S, D)
     # Mixing all H heads' weights against all D channels costs H times the
     # flops of the per-head sums but runs as one batched matmul; the
     # (h, h) diagonal blocks are the per-head results.
     heads = np.arange(H)
-    out = (w @ value).reshape(K, H, H, dh)[:, heads, heads]
+    out = (w @ value).reshape(K, H, H, dh)[:, heads, heads].reshape(K, D)
     eye = np.eye(H)[None, :, :, None]
 
     def vjp(g):
-        g_full = (eye * g[:, :, None, :]).reshape(K, H, D)  # block-diagonal g
+        g_full = (eye * g.reshape(K, H, 1, dh)).reshape(K, H, D)  # block-diagonal
         g_weights = g_full @ value.transpose(0, 2, 1)
         g_value = (w.transpose(0, 2, 1) @ g_full).reshape(K, B, O * D)
-        return tuple(g_value[:, b].reshape(K * O, D) for b in range(B)) + (g_weights,)
+        g_maps = [None] * B
+        g_refs = None
+        for vi in reversed(range(len(cameras))):
+            g_pix = None
+            for b in reversed(range(vi * L, (vi + 1) * L)):
+                g_maps[b], g_b = samplers[b](g_value[:, b].reshape(K * O, D))
+                g_pix = g_b if g_pix is None else g_pix + g_b
+            g_view = projections[vi](g_pix)
+            g_refs = g_view if g_refs is None else g_refs + g_view
+        return (g_refs, *g_maps, g_weights)
 
-    return ad.custom(tuple(sampled) + (weights,), out, vjp, name="mix_heads")
+    return ad.custom((refs, *maps, weights), out, vjp, name="deformable_attention")
 
 
 def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
@@ -366,25 +404,14 @@ def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
     off_flat = ad.reshape(offsets, (K * O, 3))
     refs = ad.add(mu_rep, off_flat)
 
-    sampled = []  # one (K * O, D_F) tensor per (view, level), view-major
-    for vi, cam in enumerate(cameras):
-        pixels, in_front = _project_points_engine(refs, cam)
-        for li, stride in enumerate(pyramid.strides):
-            feats = enc.bilinear_sample_batch(
-                pyramid.levels[li][vi], pixels, stride, mask=in_front
-            )
-            sampled.append(feats)
-
+    # Samples s run over (view, level, offset).
     S = cfg.n_views * cfg.n_levels * O
     logits = ad.linear(
         qs.features, store[f"{prefix}.attn.logit.w"], store[f"{prefix}.attn.logit.b"]
     )
     weights = ad.softmax(ad.reshape(logits, (K, H, S)), axis=2)
-
-    # Samples s run over (view, level, offset), matching `sampled` order.
-    mixed = _mix_heads(sampled, weights)  # (K, H, dh)
-    mixed_flat = ad.reshape(mixed, (K, enc.D_F))
-    update = ad.matmul(mixed_flat, store[f"{prefix}.attn.out.w"])  # bias-free
+    mixed = _sample_and_mix(refs, pyramid, cameras, weights)  # (K, D_F)
+    update = ad.matmul(mixed, store[f"{prefix}.attn.out.w"])  # bias-free
     return GaussianQuerySet(
         anchors=qs.anchors, features=ad.add(qs.features, update), bounds=qs.bounds
     )

@@ -6,14 +6,16 @@ each stage at strides 4, 8, 16, and 32. The neck applies 1x1 laterals to a
 uniform width, nearest-neighbor top-down upsampling with addition, and a 3x3
 smoothing conv per level.
 
-Feature maps are channels-last (H, W, C) autodiff Tensors. Convolutions are
-implemented as im2col gathers against a flattened input with an appended
-all-zero sentinel row, so zero padding and the conv itself ride on the
-engine's gather/matmul primitives.
+Feature maps are channels-last (H, W, C) autodiff Tensors. Each 3x3 conv is
+one tape node with an analytic VJP: an im2col gather against the flattened
+input with an appended all-zero sentinel row (the zero padding), then one
+matmul; its cached gather index is built once per map size. The 1x1
+laterals and the upsampling stay compositions of engine primitives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +42,12 @@ class FeaturePyramid:
             )
 
 
+@functools.lru_cache(maxsize=None)
 def _conv_indices(h, w, stride):
     """Flat im2col gather indices (h_out * w_out * 9,) for a 3x3 conv.
 
-    Out-of-bounds taps point at the sentinel row h*w (zero padding).
+    Out-of-bounds taps point at the sentinel row h*w (zero padding). The
+    index is cached per (h, w, stride) and returned read-only.
     """
     h_out = (h + 1) // 2 if stride == 2 else h
     w_out = (w + 1) // 2 if stride == 2 else w
@@ -52,23 +56,35 @@ def _conv_indices(h, w, stride):
     iy = oy[:, :, None, None] * stride + ky[None, None] - 1
     ix = ox[:, :, None, None] * stride + kx[None, None] - 1
     inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    flat = np.where(inside, iy * w + ix, h * w)
-    return flat.reshape(-1), h_out, w_out
+    flat = np.where(inside, iy * w + ix, h * w).reshape(-1)
+    flat.setflags(write=False)
+    return flat, h_out, w_out
 
 
 def conv2d(x, weight, bias, stride=1):
     """3x3 convolution with zero padding 1 on a (h, w, c_in) Tensor.
 
     weight: (9 * c_in, c_out) with taps ordered (ky, kx, c_in); bias (c_out,).
+    One tape node: the forward gathers the im2col rows from the input with
+    an appended zero sentinel row and multiplies them by the weight; the VJP
+    scatters the rows' cotangent back with one bincount.
     """
     h, w, c_in = x.data.shape
+    c_out = weight.data.shape[1]
     index, h_out, w_out = _conv_indices(h, w, stride)
-    flat = ad.reshape(x, (h * w, c_in))
-    padded = ad.concat([flat, ad.constant(np.zeros((1, c_in)))], axis=0)
-    patches = ad.gather(padded, index)
-    cols = ad.reshape(patches, (h_out * w_out, 9 * c_in))
-    out = ad.linear(cols, weight, bias)
-    return ad.reshape(out, (h_out, w_out, weight.data.shape[1]))
+    padded = np.concatenate([x.data.reshape(h * w, c_in), np.zeros((1, c_in))])
+    cols = padded[index].reshape(h_out * w_out, 9 * c_in)
+    out = cols @ weight.data + bias.data
+
+    def vjp(g):
+        g = g.reshape(h_out * w_out, c_out)
+        g_cols = (g @ weight.data.T).reshape(h_out * w_out * 9, c_in)
+        g_x = ad._index_add((h * w + 1, c_in), index, g_cols)[: h * w]
+        return g_x.reshape(h, w, c_in), cols.T @ g, g.sum(axis=0)
+
+    return ad.custom(
+        (x, weight, bias), out.reshape(h_out, w_out, c_out), vjp, name="conv2d"
+    )
 
 
 def conv1x1(x, weight, bias):
@@ -78,12 +94,19 @@ def conv1x1(x, weight, bias):
     return ad.reshape(out, (h, w, weight.data.shape[1]))
 
 
+@functools.lru_cache(maxsize=None)
+def _upsample_index(h, w):
+    """Read-only source rows of a nearest 2x upsampling of an (h, w) map."""
+    oy, ox = np.meshgrid(np.arange(2 * h) // 2, np.arange(2 * w) // 2, indexing="ij")
+    index = (oy * w + ox).reshape(-1)
+    index.setflags(write=False)
+    return index
+
+
 def upsample2x_nearest(x):
     """Nearest-neighbor 2x upsampling of a (h, w, c) Tensor."""
     h, w, c = x.data.shape
-    oy, ox = np.meshgrid(np.arange(2 * h) // 2, np.arange(2 * w) // 2, indexing="ij")
-    index = (oy * w + ox).reshape(-1)
-    rows = ad.gather(ad.reshape(x, (h * w, c)), index)
+    rows = ad.gather(ad.reshape(x, (h * w, c)), _upsample_index(h, w))
     return ad.reshape(rows, (2 * h, 2 * w, c))
 
 
@@ -163,8 +186,8 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
     interpolation matrix W with four weights per row: the forward is W @ map
     and the map cotangent W.T @ g, two BLAS calls. W then holds no more
     entries than the (4, M, c) corner array that a larger map gathers and
-    keeps for its VJP, whose map cotangent is one bincount over 4*M*c keys;
-    so the choice never raises memory. Both give the same values up to
+    keeps for its VJP, whose map cotangent is one bincount per channel over
+    the 4*M corner cells; so the choice never raises memory. Both give the same values up to
     summation order.
     """
     h, w, c = level_map.data.shape
@@ -206,8 +229,17 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
         corner = padded[idx]  # (4, M, c)
         out = np.einsum("amc,am->mc", corner, wt)
 
+        flat_idx = idx.reshape(-1)
+
         def map_grad(g):
-            return ad._index_add((h * w + 1, c), idx.reshape(-1), wt[:, :, None] * g[None])
+            # One bincount per channel over channel-major weights adds the
+            # same terms in the same order as one bincount over flat
+            # (cell, channel) keys, so the bits match it.
+            gw = wt[None] * np.ascontiguousarray(g.T)[:, None, :]  # (c, 4, M)
+            return np.stack(
+                [np.bincount(flat_idx, gw[ch].reshape(-1), h * w + 1) for ch in range(c)],
+                axis=1,
+            )
 
         def corner_grad(g):
             return np.einsum("amc,mc->am", corner, g)

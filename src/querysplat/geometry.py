@@ -33,7 +33,6 @@ __all__ = [
     "Camera",
     "NEAR_PLANE",
     "COV2D_REG",
-    "quaternion_to_rotation",
     "quaternion_to_rotation_batch",
     "rotation_jacobian_batch",
     "project_gaussians_batch",
@@ -105,11 +104,6 @@ class Camera:
         W[:3, :3] = R.T
         W[:3, 3] = -R.T @ t
         return W
-
-
-def quaternion_to_rotation(quat: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a (w, x, y, z) quaternion; normalized internally."""
-    return quaternion_to_rotation_batch(np.asarray(quat, dtype=np.float64).reshape(1, 4))[0]
 
 
 def quaternion_to_rotation_batch(quats: np.ndarray) -> np.ndarray:

@@ -23,7 +23,12 @@ import querysplat.renderer as rd
 import querysplat.scenes as sc
 from querysplat.checkpoint import save_checkpoint
 
-from test_geometry import covariance_from_scale_rotation, random_rigid, rotation_to_quaternion
+from test_geometry import (
+    covariance_from_scale_rotation,
+    quaternion_to_rotation,
+    random_rigid,
+    rotation_to_quaternion,
+)
 from test_renderer import alpha_composite, make_camera, random_scene
 
 
@@ -206,7 +211,7 @@ class TestAcceptance:
         mus = scene["mu"] @ G[:3, :3].T + G[:3, 3]
         quats = np.stack(
             [
-                rotation_to_quaternion(G[:3, :3] @ geo.quaternion_to_rotation(q))
+                rotation_to_quaternion(G[:3, :3] @ quaternion_to_rotation(q))
                 for q in scene["quat"]
             ]
         )

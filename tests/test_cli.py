@@ -131,6 +131,18 @@ class TestUsageAndExitCodes:
         assert run("pretrain", "--config", old, "--dry-run") == 1
         assert f"error: unknown config key: {key}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("document, key", [
+        ({"data": {"n_scenes": "four"}}, "data.n_scenes"),
+        ({"decoder": {"n_heads": [4]}}, "decoder.n_heads"),
+        ({"finetune": {"use_interaction": "no"}}, "finetune.use_interaction"),
+    ])
+    def test_mistyped_config_value_is_named(self, tmp_path, capsys, document, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        assert run("pretrain", "--config", bad, "--dry-run") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
+
     def test_pretrain_requires_data(self, ws, tmp_path):
         _, cfg = ws
         assert run("pretrain", "--config", cfg, "--out-dir", tmp_path / "o") == 1

@@ -276,40 +276,43 @@ class TestDeformableAttention:
         assert ad.finite_difference_check(fn, feat0) < 1e-4
 
 
+def voxel_conv_case(seed):
+    """Random occupied-neighbour pairs and (pooled, weight, bias) values for
+    decoder._sparse_voxel_conv, plus an output cotangent."""
+    rng = np.random.default_rng(seed)
+    V, D, D_out = 7, 3, 4
+    pairs = []
+    for _ in range(27):
+        m = int(rng.integers(0, V + 1))
+        dst = np.sort(rng.choice(V, m, replace=False))
+        pairs.append((dst, rng.choice(V, m, replace=False)))
+    arrays = (
+        rng.normal(size=(V, D)),
+        rng.normal(size=(27 * D, D_out)),
+        rng.normal(size=D_out),
+    )
+    return pairs, arrays, rng.normal(size=(V, D_out))
+
+
+def dense_voxel_conv(pooled, weight, bias, pairs):
+    """The sparse voxel conv's oracle: a dense (V, 27 * D) im2col product."""
+    V, D = pooled.shape
+    padded = ad.concat([pooled, ad.constant(np.zeros((1, D)))], axis=0)
+    cols = []
+    for dst, src in pairs:
+        idx = np.full(V, V)
+        idx[dst] = src
+        cols.append(ad.gather(padded, idx))
+    return ad.linear(ad.concat(cols, axis=1), weight, bias)
+
+
 class TestFusedNodes:
-    """The one-node decoder ops against the composed engine ops they replace."""
-
-    @staticmethod
-    def _voxel_case(seed):
-        rng = np.random.default_rng(seed)
-        V, D, D_out = 7, 3, 4
-        pairs = []
-        for _ in range(27):
-            m = int(rng.integers(0, V + 1))
-            dst = np.sort(rng.choice(V, m, replace=False))
-            pairs.append((dst, rng.choice(V, m, replace=False)))
-        arrays = (
-            rng.normal(size=(V, D)),
-            rng.normal(size=(27 * D, D_out)),
-            rng.normal(size=D_out),
-        )
-        return pairs, arrays, rng.normal(size=(V, D_out))
-
-    @staticmethod
-    def _dense_voxel_conv(pooled, weight, bias, pairs):
-        V, D = pooled.shape
-        padded = ad.concat([pooled, ad.constant(np.zeros((1, D)))], axis=0)
-        cols = []
-        for dst, src in pairs:
-            idx = np.full(V, V)
-            idx[dst] = src
-            cols.append(ad.gather(padded, idx))
-        return ad.linear(ad.concat(cols, axis=1), weight, bias)
+    """The one-node voxel conv against the composed engine ops it replaces."""
 
     def test_sparse_voxel_conv_matches_dense_im2col(self):
-        pairs, arrays, seed_g = self._voxel_case(0)
+        pairs, arrays, seed_g = voxel_conv_case(0)
         results = []
-        for conv in (dec._sparse_voxel_conv, self._dense_voxel_conv):
+        for conv in (dec._sparse_voxel_conv, dense_voxel_conv):
             leaves = [ad.Tensor(a.copy()) for a in arrays]
             out = conv(*leaves, pairs)
             out.backward(seed_g)
@@ -318,7 +321,7 @@ class TestFusedNodes:
             np.testing.assert_allclose(fused, dense, rtol=0.0, atol=1e-12)
 
     def test_sparse_voxel_conv_gradcheck(self):
-        pairs, (pooled, weight, bias), seed_g = self._voxel_case(1)
+        pairs, (pooled, weight, bias), seed_g = voxel_conv_case(1)
 
         def via(slot):
             def fn(t):
@@ -331,53 +334,6 @@ class TestFusedNodes:
 
         assert ad.finite_difference_check(via(0), pooled) < 1e-6
         assert ad.finite_difference_check(via(1), weight) < 1e-6
-
-    @staticmethod
-    def _mix_case(seed, K=5, B=3, O=2, H=4, D=8):
-        rng = np.random.default_rng(seed)
-        sampled = [rng.normal(size=(K * O, D)) for _ in range(B)]
-        weights = rng.uniform(size=(K, H, B * O))
-        return sampled, weights, rng.normal(size=(K, H, D // H))
-
-    @staticmethod
-    def _composed_mix(sampled, weights):
-        K, H, S = weights.shape
-        D = sampled[0].shape[1]
-        O = S // len(sampled)
-        blocks = [ad.reshape(t, (K, O * D)) for t in sampled]
-        value = ad.reshape(ad.concat(blocks, axis=1), (K, S, H, D // H))
-        value_hm = ad.transpose(value, (0, 2, 1, 3))
-        return ad.reduce_sum(
-            ad.mul(value_hm, ad.reshape(weights, (K, H, S, 1))), axis=2
-        )
-
-    def test_mix_heads_matches_composed_ops(self):
-        sampled, weights, seed_g = self._mix_case(2)
-        results = []
-        for mix in (dec._mix_heads, self._composed_mix):
-            leaves = [ad.Tensor(a.copy()) for a in sampled]
-            w = ad.Tensor(weights.copy())
-            out = mix(leaves, w)
-            out.backward(seed_g)
-            results.append([out.data, w.grad] + [t.grad for t in leaves])
-        for fused, composed in zip(*results):
-            np.testing.assert_allclose(fused, composed, rtol=0.0, atol=1e-12)
-
-    def test_mix_heads_gradcheck(self):
-        sampled, weights, seed_g = self._mix_case(3)
-
-        def fn_block(t):
-            blocks = [ad.constant(a) for a in sampled]
-            blocks[1] = t
-            out = dec._mix_heads(blocks, ad.constant(weights))
-            return ad.reduce_sum(out * ad.constant(seed_g))
-
-        def fn_weights(t):
-            out = dec._mix_heads([ad.constant(a) for a in sampled], t)
-            return ad.reduce_sum(out * ad.constant(seed_g))
-
-        assert ad.finite_difference_check(fn_block, sampled[1]) < 1e-6
-        assert ad.finite_difference_check(fn_weights, weights) < 1e-6
 
 
 class TestGaussianHead:

@@ -259,6 +259,16 @@ class TestKnnMatchesOracle:
             assert_matches_oracle(tasks, anchors, k)
 
 
+def composed_neighbor_attention(q, kv, neigh):
+    """neighbor_attention's oracle: gather, dot, softmax and sum as engine ops."""
+    m, d = q.data.shape
+    k = neigh.shape[1]
+    kv_n = ad.gather(kv, neigh)
+    scores = ad.reduce_sum(ad.reshape(q, (m, 1, d)) * kv_n, axis=2) * (1.0 / np.sqrt(d))
+    weights = ad.softmax(scores, axis=1)
+    return ad.reduce_sum(ad.reshape(weights, (m, k, 1)) * kv_n, axis=1)
+
+
 class TestNeighborAttention:
     """The fused attention node against the composed ops it replaces."""
 
@@ -271,14 +281,7 @@ class TestNeighborAttention:
         self.probe = rng.normal(size=(7, 5))
 
     def composed(self, q, kv):
-        m, d = q.data.shape
-        k = self.neigh.shape[1]
-        kv_n = ad.gather(kv, self.neigh)
-        scores = ad.reduce_sum(ad.reshape(q, (m, 1, d)) * kv_n, axis=2) * (
-            1.0 / np.sqrt(d)
-        )
-        weights = ad.softmax(scores, axis=1)
-        return ad.reduce_sum(ad.reshape(weights, (m, k, 1)) * kv_n, axis=1)
+        return composed_neighbor_attention(q, kv, self.neigh)
 
     def grads(self, attend):
         q, kv = ad.Tensor(self.q.copy()), ad.Tensor(self.kv.copy())

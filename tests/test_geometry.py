@@ -18,6 +18,11 @@ def gaussian_records(mu, quat, scale, opacity, color):
     return g
 
 
+def quaternion_to_rotation(quat):
+    """Rotation matrix of one (w, x, y, z) quaternion; normalized internally."""
+    return geo.quaternion_to_rotation_batch(np.asarray(quat, dtype=np.float64).reshape(1, 4))[0]
+
+
 @dataclass
 class ProjectedGaussian:
     """Scalar oracle: one Gaussian after projection into one camera."""
@@ -50,7 +55,7 @@ def covariance_from_scale_rotation(scale, quat):
     s = np.asarray(scale, dtype=np.float64).reshape(3)
     if np.any(s <= 0.0):
         raise ValueError(f"scale components must be positive, got {s}")
-    RS = geo.quaternion_to_rotation(quat) * s[None, :]  # columns scaled: R @ diag(s)
+    RS = quaternion_to_rotation(quat) * s[None, :]  # columns scaled: R @ diag(s)
     return RS @ RS.T
 
 
@@ -65,35 +70,35 @@ def random_rigid(rng):
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     G = np.eye(4)
-    G[:3, :3] = geo.quaternion_to_rotation(q)
+    G[:3, :3] = quaternion_to_rotation(q)
     G[:3, 3] = rng.normal(size=3)
     return G
 
 
 class TestQuaternionToRotation:
     def test_identity_quaternion(self):
-        R = geo.quaternion_to_rotation(np.array([1.0, 0.0, 0.0, 0.0]))
+        R = quaternion_to_rotation(np.array([1.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
 
     def test_ninety_degrees_about_z(self):
         s = np.sqrt(2.0) / 2.0
-        R = geo.quaternion_to_rotation(np.array([s, 0.0, 0.0, s]))
+        R = quaternion_to_rotation(np.array([s, 0.0, 0.0, s]))
         np.testing.assert_allclose(R @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_scale_invariance(self):
-        R = geo.quaternion_to_rotation(np.array([2.0, 0.0, 0.0, 0.0]))
+        R = quaternion_to_rotation(np.array([2.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose(R, np.eye(3), atol=1e-15)
 
     def test_near_zero_rejected(self):
         with pytest.raises(ValueError, match="norm"):
-            geo.quaternion_to_rotation(np.array([1e-9, 0.0, 0.0, 0.0]))
+            quaternion_to_rotation(np.array([1e-9, 0.0, 0.0, 0.0]))
 
     def test_orthonormal_det_plus_one(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             q = rng.normal(size=4)
             q /= np.linalg.norm(q)
-            R = geo.quaternion_to_rotation(q)
+            R = quaternion_to_rotation(q)
             np.testing.assert_allclose(R @ R.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(R) > 0.0
 
@@ -109,7 +114,7 @@ class TestQuaternionToRotation:
                 qp, qm = q.copy(), q.copy()
                 qp[c] += eps
                 qm[c] -= eps
-                fd = (geo.quaternion_to_rotation(qp) - geo.quaternion_to_rotation(qm)) / (2 * eps)
+                fd = (quaternion_to_rotation(qp) - quaternion_to_rotation(qm)) / (2 * eps)
                 np.testing.assert_allclose(analytic[c], fd, atol=1e-8)
 
 
@@ -253,7 +258,7 @@ class TestProjection:
         mus_t = mus @ G[:3, :3].T + G[:3, 3]
         R_g = G[:3, :3]
         quats_t = np.stack(
-            [rotation_to_quaternion(R_g @ geo.quaternion_to_rotation(q)) for q in quats]
+            [rotation_to_quaternion(R_g @ quaternion_to_rotation(q)) for q in quats]
         )
         cam_t = Camera(
             intrinsics=cam.intrinsics, extrinsics=G @ cam.extrinsics, image_size=cam.image_size

@@ -6,7 +6,7 @@ import shutil
 
 import numpy as np
 import pytest
-from test_geometry import rotation_to_quaternion
+from test_geometry import quaternion_to_rotation, rotation_to_quaternion
 
 from querysplat import autodiff as ad
 from querysplat import decoder as dec
@@ -14,7 +14,6 @@ from querysplat import pretrain as pt
 from querysplat import renderer as rd
 from querysplat import scenes as sc
 from querysplat.checkpoint import load_checkpoint
-from querysplat.geometry import quaternion_to_rotation
 
 
 def tiny_sample(seed=3, n_views=2, image_size=(32, 32), n_objects=1):

@@ -9,7 +9,12 @@ from querysplat import renderer as rd
 from querysplat.geometry import Camera
 from querysplat.renderer import RenderConfig
 
-from test_geometry import ProjectedGaussian, gaussian_records, project_gaussian
+from test_geometry import (
+    ProjectedGaussian,
+    gaussian_records,
+    project_gaussian,
+    quaternion_to_rotation,
+)
 
 
 def make_camera(fx=25.0, fy=25.0, cx=None, cy=None, size=(32, 32), extrinsics=None):
@@ -397,7 +402,7 @@ class TestRenderForward:
         mus = scene["mu"] @ G[:3, :3].T + G[:3, 3]
         quats = np.stack(
             [
-                rotation_to_quaternion(G[:3, :3] @ geo.quaternion_to_rotation(q))
+                rotation_to_quaternion(G[:3, :3] @ quaternion_to_rotation(q))
                 for q in scene["quat"]
             ]
         )
