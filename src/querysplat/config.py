@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 
 from . import encoder as enc
@@ -135,46 +136,73 @@ def load_config(path=None, overrides=None):
 
 def _leaf(cfg, dotted, kind):
     """The value at a dotted key converted by kind (int or float); a value
-    kind rejects raises ConfigError naming the key."""
-    section, key = dotted.split(".")
-    value = cfg[section][key]
+    kind rejects, or a float that is not finite, raises ConfigError naming
+    the key."""
+    value = cfg
+    for part in dotted.split("."):
+        value = value[part]
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is float and not math.isfinite(out)):
+        what = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{dotted} must be {what}, got {value!r}")
+    return out
+
+
+_POSITIVE = (lambda x: x > 0, "> 0")
+_NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
+_AT_LEAST_ONE = (lambda x: x >= 1, ">= 1")
+_UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]")
+_UNIT_OPEN = (lambda x: 0 < x <= 1, "in (0, 1]")
+
+# Leaves no typed sub-config builds: their kind and, where limited, range.
+_LEAVES = (
+    ("seed", int, None),
+    ("data.n_scenes", int, _AT_LEAST_ONE),
+    ("data.n_objects", int, _AT_LEAST_ONE),
+    ("data.n_views", int, _AT_LEAST_ONE),
+    ("data.keep_rate", float, _UNIT_OPEN),
+    ("pretrain.peak_lr", float, _POSITIVE),
+    ("pretrain.weight_decay", float, _NON_NEGATIVE),
+    ("pretrain.hflip_prob", float, _UNIT),
+    ("pretrain.checkpoint_every", int, _NON_NEGATIVE),
+    ("pretrain.snapshot_every", int, _NON_NEGATIVE),
+    ("finetune.steps", int, _AT_LEAST_ONE),
+    ("finetune.lr", float, _POSITIVE),
+    ("finetune.weight_decay", float, _NON_NEGATIVE),
+    ("finetune.grid", int, _AT_LEAST_ONE),
+    ("finetune.d_task", int, _AT_LEAST_ONE),
+    ("finetune.train_fraction", float, _UNIT_OPEN),
+)
 
 
 def validate(cfg):
-    """Build every typed sub-config so its own invariants run."""
+    """Check the kind and range of each leaf in _LEAVES and build every typed
+    sub-config so its own invariants run. The document is left as it is."""
     try:
         decoder_config(cfg)
         loss_weights(cfg)
         interaction_config(cfg)
     except ValueError as e:
         raise ConfigError(str(e))
-    data = cfg["data"]
-    for key in ("n_scenes", "n_objects", "n_views"):
-        if _leaf(cfg, f"data.{key}", int) < 1:
-            raise ConfigError(f"data.{key} must be >= 1, got {data[key]}")
+    for dotted, kind, limit in _LEAVES:
+        value = _leaf(cfg, dotted, kind)
+        if limit is not None and not limit[0](value):
+            raise ConfigError(f"{dotted} must be {limit[1]}, got {value!r}")
     # The encoder halves each view down to its coarsest pyramid stride.
     stride = enc.STRIDES[-1]
-    size = data["image_size"]
+    size = cfg["data"]["image_size"]
     if not (isinstance(size, list) and len(size) == 2
             and all(isinstance(v, int) and v >= 1 and v % stride == 0 for v in size)):
         raise ConfigError(
             f"data.image_size must be two positive multiples of {stride}, got {size!r}"
         )
-    if not 0.0 < _leaf(cfg, "data.keep_rate", float) <= 1.0:
-        raise ConfigError(f"data.keep_rate must be in (0, 1], got {data['keep_rate']}")
-    ft = cfg["finetune"]
-    if not 0.0 < _leaf(cfg, "finetune.train_fraction", float) <= 1.0:
+    interaction = cfg["finetune"]["use_interaction"]
+    if not isinstance(interaction, bool):
         raise ConfigError(
-            f"finetune.train_fraction must be in (0, 1], got {ft['train_fraction']}"
-        )
-    if not isinstance(ft["use_interaction"], bool):
-        raise ConfigError(
-            f"finetune.use_interaction must be true or false, got {ft['use_interaction']!r}"
+            f"finetune.use_interaction must be true or false, got {interaction!r}"
         )
     steps = _leaf(cfg, "pretrain.total_steps", int)
     warmup = _leaf(cfg, "pretrain.warmup_steps", int)

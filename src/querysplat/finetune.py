@@ -120,8 +120,9 @@ def filter_by_opacity(gaussians, features, alpha_thresh):
     return g[keep], f[keep]
 
 
-# Query rows per distance block in knn_neighbors: bounds its scratch memory
-# at _KNN_CHUNK x N distances whatever the number of task queries.
+# Query rows per distance block in knn_neighbors: bounds its distance scratch
+# at _KNN_CHUNK x N whatever the number of task queries.  Its per-axis tables
+# add one row of N per distinct coordinate on the axis.
 _KNN_CHUNK = 128
 
 
@@ -131,11 +132,15 @@ def knn_neighbors(task_positions, anchor_positions, k):
     Euclidean distance; ties broken by ascending anchor index.  With fewer
     than k anchors, the nearest one's index repeats to fill the row.
 
-    Rows are processed in blocks of _KNN_CHUNK.  Each row's k candidates
-    come from a partial select and are then ordered by (distance, index);
-    a row whose k-th distance is tied with an anchor outside the candidates
-    falls back to a full stable sort, so the result equals a stable argsort
-    of the squared distances bit for bit.
+    Each axis gets a table of squared differences between the distinct task
+    coordinates on it and the anchors' coordinates: a G^3 voxel grid has G
+    per axis, at most M.  Rows are processed in blocks of _KNN_CHUNK, whose
+    squared distances are the gathered table rows added in axis order onto
+    zeros, the same bits as summing (t - a)**2 over the last axis.  Each
+    row's k candidates come from a partial select and are then ordered by
+    (distance, index); a row whose k-th distance is tied with an anchor
+    outside the candidates falls back to a full stable sort, so the result
+    equals a stable argsort of the squared distances bit for bit.
     """
     tp = np.asarray(task_positions, dtype=np.float64)
     ap = np.asarray(anchor_positions, dtype=np.float64)
@@ -145,16 +150,20 @@ def knn_neighbors(task_positions, anchor_positions, k):
         raise ValueError("knn_neighbors requires at least one anchor")
     n = ap.shape[0]
     take = min(k, n)
+    # np.unique merges 0.0 with -0.0 and NaN with NaN; both members of
+    # each pair give the same squared difference to every anchor.
+    tables = []
+    for axis in range(ap.shape[1]):
+        vals, inv = np.unique(tp[:, axis], return_inverse=True)
+        diff = vals[:, None] - ap[None, :, axis]
+        tables.append((diff * diff, inv))
     out = np.empty((tp.shape[0], take), dtype=np.intp)
     for lo in range(0, tp.shape[0], _KNN_CHUNK):
-        rows = tp[lo : lo + _KNN_CHUNK]
-        # One axis at a time: the same bits as summing the squared
-        # differences over the last axis.
-        d2 = np.zeros((rows.shape[0], n))
-        for axis in range(ap.shape[1]):
-            diff = rows[:, axis, None] - ap[None, :, axis]
-            d2 += diff * diff
-        out[lo : lo + rows.shape[0]] = _k_smallest(d2, take)
+        hi = min(lo + _KNN_CHUNK, tp.shape[0])
+        d2 = np.zeros((hi - lo, n))
+        for table, inv in tables:
+            d2 += table[inv[lo:hi]]
+        out[lo:hi] = _k_smallest(d2, take)
     if n >= k:
         return out
     fill = np.repeat(out[:, :1], k - n, axis=1)
@@ -219,8 +228,11 @@ def neighbor_attention(q, kv, neigh):
 
     Row i attends to kv[neigh[i]] with weights softmax_j(q_i . kv_j / sqrt(D))
     and returns their weighted sum, shape (M, D).  One tape node: the
-    backward is analytic, and the kv cotangent is scattered back to the
-    rows it was gathered from.
+    backward is analytic.  Its kv cotangent is built one channel at a time:
+    the channel's M*k products w_ij g_ic + gs_ij q_ic go through one
+    bincount over the neighbour table, which adds them per anchor in the
+    same (i, j) order as scattering the (M, k, D) products would, so the
+    bits are the same without that array or its per-channel keys.
     """
     qd = q.data
     kn = kv.data[neigh]  # (M, k, D)
@@ -234,8 +246,16 @@ def neighbor_attention(q, kv, neigh):
         gw = np.einsum("md,mkd->mk", g, kn)
         gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scale
         gq = np.einsum("mk,mkd->md", gs, kn)
-        gkn = w[:, :, None] * g[:, None, :] + gs[:, :, None] * qd[:, None, :]
-        return gq, ad._index_add(kv.data.shape, neigh, gkn)
+        n, k = kv.data.shape[0], neigh.shape[1]
+        flat, wf, sf = neigh.reshape(-1), w.reshape(-1), gs.reshape(-1)
+        # Channel-major copies make each channel's rows contiguous.
+        gt, qt = np.ascontiguousarray(g.T), np.ascontiguousarray(qd.T)
+        gkv = np.empty(kv.data.shape)
+        for c in range(gkv.shape[1]):
+            row = np.repeat(gt[c], k) * wf
+            row += np.repeat(qt[c], k) * sf
+            gkv[:, c] = np.bincount(flat, row, n)
+        return gq, gkv
 
     return ad.custom((q, kv), out, vjp, name="neighbor_attention")
 

@@ -98,6 +98,8 @@ def adamw_step(store, state, lr):
 
     Decay multiplies weights by (1 - lr * weight_decay) before the moment
     term. Parameters without a gradient are treated as having zero gradient.
+    The moments are updated in place, with the rounding of
+    m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g.
     """
     state.step += 1
     t = state.step
@@ -107,12 +109,22 @@ def adamw_step(store, state, lr):
         if name not in state.m:
             state.m[name] = np.zeros_like(param.data)
             state.v[name] = np.zeros_like(param.data)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / (1.0 - b1**t)
-        v_hat = state.v[name] / (1.0 - b2**t)
-        param.data = param.data * (1.0 - lr * state.weight_decay)
-        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        g2 = (1.0 - b2) * g
+        g2 *= g
+        v += g2
+        update = m / (1.0 - b1**t)
+        update *= lr
+        denom = v / (1.0 - b2**t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update /= denom
+        data = param.data * (1.0 - lr * state.weight_decay)
+        data -= update
+        param.data = data
 
 
 def _mirror_world(bounds):

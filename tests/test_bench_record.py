@@ -58,3 +58,34 @@ def test_record_follows_the_schema(path):
 
 def test_seed_ranges_parse():
     assert bench_pairs.parse_seeds("101-103,201") == [101, 102, 103, 201]
+
+
+@pytest.mark.parametrize("seeds", ["901", "101,101", "5-7,6"])
+def test_too_few_or_repeated_seeds_stop_before_any_run(seeds, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--base", ROOT, "--change", ROOT, "--workload", "pretrain-default",
+                          "--seeds", seeds, "--out", os.devnull])
+    assert stop.value.code == 2
+    assert "at least two distinct seeds" in capsys.readouterr().err
+
+
+def test_a_failing_run_reports_its_exit_code_and_stderr(tmp_path):
+    # A stand-in checkout whose bench/run.py fails the way a crash would.
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(40):\n"
+        "    print(f'line {i}', file=sys.stderr)\n"
+        "print('ValueError: the last words', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run_once(str(tmp_path), "pretrain-default", 7, 1)
+    message = str(stop.value.code)
+    assert "seed 7: exit 3" in message
+    assert message.endswith("ValueError: the last words")
+    assert "line 39" in message and "line 0\n" not in message

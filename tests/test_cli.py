@@ -135,6 +135,14 @@ class TestUsageAndExitCodes:
         ({"data": {"n_scenes": "four"}}, "data.n_scenes"),
         ({"decoder": {"n_heads": [4]}}, "decoder.n_heads"),
         ({"finetune": {"use_interaction": "no"}}, "finetune.use_interaction"),
+        ({"pretrain": {"peak_lr": "x"}}, "pretrain.peak_lr"),
+        ({"pretrain": {"hflip_prob": 7}}, "pretrain.hflip_prob"),
+        ({"pretrain": {"peak_lr": -1}}, "pretrain.peak_lr"),
+        ({"pretrain": {"weight_decay": float("nan")}}, "pretrain.weight_decay"),
+        ({"pretrain": {"checkpoint_every": -5}}, "pretrain.checkpoint_every"),
+        ({"finetune": {"grid": "x"}}, "finetune.grid"),
+        ({"finetune": {"lr": "fast"}}, "finetune.lr"),
+        ({"seed": "one"}, "seed"),
     ])
     def test_mistyped_config_value_is_named(self, tmp_path, capsys, document, key):
         bad = tmp_path / "bad.json"

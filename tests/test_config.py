@@ -164,6 +164,28 @@ class TestValidation:
         with pytest.raises(cf.ConfigError):
             self.load({"finetune": {"k": 0}}, tmp_path)
 
+    @pytest.mark.parametrize("dotted, value", [
+        ("pretrain.peak_lr", 0.0),
+        ("pretrain.weight_decay", -0.1),
+        ("pretrain.hflip_prob", -0.5),
+        ("pretrain.snapshot_every", -1),
+        ("finetune.steps", 0),
+        ("finetune.lr", float("inf")),
+        ("finetune.weight_decay", "heavy"),
+        ("finetune.d_task", 0),
+        ("pretrain.w_depth", float("nan")),
+        ("data.n_objects", float("inf")),
+    ])
+    def test_leaf_out_of_kind_or_range_is_named(self, tmp_path, dotted, value):
+        section, key = dotted.split(".")
+        with pytest.raises(cf.ConfigError, match=f"^{dotted} must be "):
+            self.load({section: {key: value}}, tmp_path)
+
+    def test_checked_values_are_not_rewritten(self, tmp_path):
+        cfg = self.load({"pretrain": {"peak_lr": 1, "hflip_prob": 0}}, tmp_path)
+        assert cfg["pretrain"]["peak_lr"] == 1 and type(cfg["pretrain"]["peak_lr"]) is int
+        assert cfg["pretrain"]["hflip_prob"] == 0 and type(cfg["pretrain"]["hflip_prob"]) is int
+
 
 class TestWriteResolved:
     def test_round_trips_and_is_deterministic(self, tmp_path, monkeypatch):

@@ -259,6 +259,34 @@ class TestKnnMatchesOracle:
             assert_matches_oracle(tasks, anchors, k)
 
 
+class TestKnnAxisTables:
+    """The per-axis distance tables on coordinates np.unique treats specially."""
+
+    def test_repeated_coordinates_off_a_grid(self):
+        rng = np.random.default_rng(7)
+        centres = ft.voxel_centers(np.array([[-1.0] * 3, [1.0] * 3]), 6)
+        tasks = np.concatenate([rng.permutation(centres), rng.uniform(-1, 1, (90, 3))])
+        tasks = tasks[rng.permutation(tasks.shape[0])]
+        anchors = np.concatenate([points(8, 60, 3), points(9, 60, 0)])
+        for k in (1, 8, 40):
+            assert_matches_oracle(tasks, anchors, k)
+
+    def test_signed_zeros(self):
+        rng = np.random.default_rng(3)
+        tasks = rng.choice([0.0, -0.0, 0.5, -0.5], size=(300, 3))
+        assert np.signbit(tasks).any() and (tasks == 0).any()
+        anchors = rng.choice([0.0, -0.0, 0.25, -0.5, 1.0], size=(40, 3))
+        for k in (1, 3, 12):
+            assert_matches_oracle(tasks, anchors, k)
+
+    def test_several_nan_task_rows(self):
+        tasks = points(4, 200, 2)
+        tasks[[0, 17, 130, 199], [0, 1, 2, 0]] = np.nan
+        tasks[50] = np.nan
+        for k in (1, 5):
+            assert_matches_oracle(tasks, points(5, 30, 2), k)
+
+
 def composed_neighbor_attention(q, kv, neigh):
     """neighbor_attention's oracle: gather, dot, softmax and sum as engine ops."""
     m, d = q.data.shape
@@ -316,6 +344,55 @@ class TestNeighborAttention:
         neigh = self.neigh[:, :1]
         out = ft.neighbor_attention(ad.constant(self.q), ad.constant(self.kv), neigh)
         np.testing.assert_array_equal(out.data, self.kv[neigh[:, 0]])
+
+
+def kv_cotangent_oracle(qd, kvd, neigh, g):
+    """The kv cotangent as the (M, k, D) products scattered by ad._index_add:
+    neighbor_attention's must equal it bit for bit."""
+    kn = kvd[neigh]
+    scale = 1.0 / np.sqrt(qd.shape[1])
+    scores = np.einsum("md,mkd->mk", qd, kn) * scale
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    gw = np.einsum("md,mkd->mk", g, kn)
+    gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scale
+    gkn = w[:, :, None] * g[:, None, :] + gs[:, :, None] * qd[:, None, :]
+    return ad._index_add(kvd.shape, neigh, gkn)
+
+
+class TestKvCotangentBits:
+    """neighbor_attention's channel-major kv cotangent against the scatter."""
+
+    def check(self, m, n, d, neigh, seed=0):
+        rng = np.random.default_rng(seed)
+        qd, kvd, g = rng.normal(size=(m, d)), rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        out = ft.neighbor_attention(ad.constant(qd), ad.constant(kvd), neigh)
+        _, gkv = out._vjp(g)
+        want = kv_cotangent_oracle(qd, kvd, neigh, g)
+        assert gkv.shape == want.shape
+        np.testing.assert_array_equal(gkv, want)
+        return gkv
+
+    @pytest.mark.parametrize("d", [5, 67])
+    def test_repeats_and_an_unreferenced_anchor(self, d):
+        # Anchor 9 is never a neighbour; the rows repeat anchors within and
+        # across rows.
+        neigh = np.random.default_rng(d).integers(0, 9, size=(40, 6))
+        assert any(len(set(row)) < 6 for row in neigh.tolist())
+        gkv = self.check(40, 10, d, neigh)
+        assert not gkv[9].any()
+
+    def test_single_neighbour(self):
+        self.check(30, 7, 8, np.random.default_rng(1).integers(0, 7, size=(30, 1)))
+
+    def test_fewer_anchors_than_k(self):
+        neigh = ft.knn_neighbors(points(2, 25, 0), points(3, 3, 0), 5)
+        assert neigh.shape == (25, 5)
+        self.check(25, 3, 16, neigh)
+
+    def test_no_query_rows(self):
+        gkv = self.check(0, 4, 6, np.zeros((0, 3), dtype=np.intp))
+        assert not gkv.any()
 
 
 class TestLocalQueryInteraction:

@@ -161,7 +161,50 @@ class TestLrSchedule:
             pt.lr_schedule(2001, 2000)
 
 
+def adamw_oracle(store, state, lr):
+    """AdamW with fresh moment arrays each step: pt.adamw_step, which updates
+    them in place, must match it bit for bit."""
+    state.step += 1
+    t = state.step
+    b1, b2 = state.beta1, state.beta2
+    for name, param in store.items():
+        g = param.grad if param.grad is not None else np.zeros_like(param.data)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(param.data)
+            state.v[name] = np.zeros_like(param.data)
+        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        m_hat = state.m[name] / (1.0 - b1**t)
+        v_hat = state.v[name] / (1.0 - b2**t)
+        param.data = param.data * (1.0 - lr * state.weight_decay)
+        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
 class TestAdamW:
+    def test_matches_the_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        shapes = {"a": (3, 4), "b": (7,), "c": (2, 3, 5), "no_grad": (4,)}
+        stores = [ad.ParamStore(), ad.ParamStore()]
+        for name, shape in shapes.items():
+            value = rng.normal(size=shape)
+            for store in stores:
+                store.param(name, value.copy())
+        states = [pt.OptimizerState(), pt.OptimizerState()]
+        for lr in (1e-3, 2e-4, 5e-2):
+            grads = {n: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)
+                     for n, s in shapes.items() if n != "no_grad"}
+            for store in stores:
+                for name in shapes:
+                    store[name].grad = grads.get(name)
+            pt.adamw_step(stores[0], states[0], lr)
+            adamw_oracle(stores[1], states[1], lr)
+        got, want = states
+        assert got.step == want.step == 3
+        for name in shapes:
+            np.testing.assert_array_equal(stores[0][name].data, stores[1][name].data)
+            np.testing.assert_array_equal(got.m[name], want.m[name])
+            np.testing.assert_array_equal(got.v[name], want.v[name])
+
     def make_store(self, value):
         store = ad.ParamStore()
         store.param("w", np.array([value]))

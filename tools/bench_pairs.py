@@ -5,12 +5,15 @@
 
 Each seed runs ``bench/run.py --trace 0`` once in each checkout, the base
 first on even pair indices and the change first on odd ones, so drift in
-the machine's speed falls on both sides. Every run must be correct with no
-failed operation. The record holds, per workload and end-to-end metric,
-each pair's two values, both sides' median and quartiles, the pair count
-and the pairs the change won in the metric's direction (BENCHMARK.json);
-per side, the commit id, whether src/ or bench/ differ from it, a digest of
-src/, and nproc. A later call with another workload adds to the same file.
+the machine's speed falls on both sides. The seeds must be at least two and
+distinct: quartiles need two pairs, and a seed names its pair. Every run
+must exit 0 and be correct with no failed operation; a failing run stops
+the tool with its exit code and the tail of its stderr. The record holds,
+per workload and end-to-end metric, each pair's two values, both sides'
+median and quartiles, the pair count and the pairs the change won in the
+metric's direction (BENCHMARK.json); per side, the commit id, whether src/
+or bench/ differ from it, a digest of src/, and nproc. A later call with
+another workload adds to the same file.
 """
 
 import argparse
@@ -50,10 +53,19 @@ def describe(checkout):
             "src_sha256": digest.hexdigest()}
 
 
+# Lines of a failing run's stderr that the error message repeats.
+STDERR_TAIL = 20
+
+
 def run_once(checkout, workload, seed, seconds):
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        raise SystemExit(
+            f"{checkout} {workload} seed {seed}: exit {proc.returncode}; stderr ends:\n{tail}"
+        )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         raise SystemExit(f"{checkout} {workload} seed {seed}: {result['failed']} failed")
@@ -87,6 +99,8 @@ def main(argv=None):
     p.add_argument("--seconds", type=int, default=10)
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
+    if len(args.seeds) < 2 or len(set(args.seeds)) != len(args.seeds):
+        p.error(f"--seeds needs at least two distinct seeds, got {args.seeds}")
     with open(os.path.join(args.change, "BENCHMARK.json")) as f:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
