@@ -171,17 +171,11 @@ def cmd_gen_data(cfg, args):
         )
     cf.write_resolved(cfg, out)
     data = cfg["data"]
-    spec = {
-        "n_objects": int(data["n_objects"]),
-        "bounds": data["bounds"],
-        "n_views": int(data["n_views"]),
-        "image_size": tuple(int(v) for v in data["image_size"]),
-    }
-    for i in range(int(data["n_scenes"])):
-        scene_seed = int(cfg["seed"]) + i
-        scene = sc.generate_scene(spec, seed=scene_seed)
+    for i in range(data["n_scenes"]):
+        scene_seed = cfg["seed"] + i
+        scene = sc.generate_scene(data, seed=scene_seed)
         sample = sc.sparsify_depth(
-            sc.bake_ground_truth(scene), float(data["keep_rate"]), seed=scene_seed
+            sc.bake_ground_truth(scene), data["keep_rate"], seed=scene_seed
         )
         d = os.path.join(scenes_root, f"{i:04d}")
         os.makedirs(d, exist_ok=True)
@@ -196,16 +190,13 @@ def cmd_gen_data(cfg, args):
 
 
 def _build_model_for(cfg, bounds):
-    return pt.build_model(bounds, cf.decoder_config(cfg), seed=int(cfg["seed"]))
+    return pt.build_model(bounds, cf.decoder_config(cfg), seed=cfg["seed"])
 
 
 def _check_views(cfg, scenes):
-    want = int(cfg["data"]["n_views"])
-    got = len(scenes[0].cameras)
+    want, got = cfg["data"]["n_views"], len(scenes[0].cameras)
     if got != want:
-        raise UsageError(
-            f"scene has {got} views but the config expects {want}"
-        )
+        raise UsageError(f"scene has {got} views but the config expects {want}")
 
 
 def cmd_pretrain(cfg, args):
@@ -225,10 +216,9 @@ def cmd_pretrain(cfg, args):
         resume_state = load_checkpoint(args.resume)
 
     p = cfg["pretrain"]
-    snapshot_every = int(p["snapshot_every"])
 
     def snapshot(step, loss, lr, model):
-        if snapshot_every <= 0 or step % snapshot_every != 0:
+        if p["snapshot_every"] <= 0 or step % p["snapshot_every"] != 0:
             return
         snap_dir = os.path.join(out, "snapshots", f"step{step:06d}")
         os.makedirs(snap_dir, exist_ok=True)
@@ -237,16 +227,16 @@ def cmd_pretrain(cfg, args):
     losses = pt.run_pretraining(
         model,
         samples,
-        total_steps=int(p["total_steps"]),
-        warmup=int(p["warmup_steps"]),
-        peak_lr=float(p["peak_lr"]),
-        weight_decay=float(p["weight_decay"]),
+        total_steps=p["total_steps"],
+        warmup=p["warmup_steps"],
+        peak_lr=p["peak_lr"],
+        weight_decay=p["weight_decay"],
         loss_weights=cf.loss_weights(cfg),
-        hflip_prob=float(p["hflip_prob"]),
-        seed=int(cfg["seed"]),
+        hflip_prob=p["hflip_prob"],
+        seed=cfg["seed"],
         log_path=os.path.join(out, "loss.csv"),
         checkpoint_path=os.path.join(out, "model.ckpt"),
-        checkpoint_every=int(p["checkpoint_every"]),
+        checkpoint_every=p["checkpoint_every"],
         checkpoint_dir=os.path.join(out, "checkpoints"),
         callback=snapshot,
         resume_state=resume_state,
@@ -298,7 +288,7 @@ def cmd_render(cfg, args):
 def _split_scenes(dirs, fraction):
     """(training, held-out) scene directories: the first ceil(fraction * n)
     train, the rest are held out."""
-    n_train = math.ceil(float(fraction) * len(dirs))
+    n_train = math.ceil(fraction * len(dirs))
     return dirs[:n_train], dirs[n_train:]
 
 
@@ -316,11 +306,11 @@ def _build_task(cfg, bounds, d_pre):
     f = cfg["finetune"]
     return ft.build_task_model(
         bounds,
-        grid=int(f["grid"]),
+        grid=f["grid"],
         cfg=cf.interaction_config(cfg),
-        d_task=int(f["d_task"]),
+        d_task=f["d_task"],
         d_pre=d_pre,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
     )
 
 
@@ -339,10 +329,10 @@ def cmd_finetune(cfg, args):
         model,
         samples,
         scenes,
-        total_steps=int(f["steps"]),
-        lr=float(f["lr"]),
+        total_steps=f["steps"],
+        lr=f["lr"],
         use_interaction=f["use_interaction"],
-        weight_decay=float(f["weight_decay"]),
+        weight_decay=f["weight_decay"],
         log_path=os.path.join(out, "metrics.csv"),
         checkpoint_path=os.path.join(out, "task.ckpt"),
     )
@@ -535,8 +525,8 @@ def _gradcheck_interaction(seed, fault):
 def cmd_gradcheck(cfg, args):
     out = cfg["out_dir"]
     cf.write_resolved(cfg, out)
-    seed = int(cfg["seed"])
-    fault = bool(args.inject_fault)
+    seed = cfg["seed"]
+    fault = args.inject_fault
     results = {}
     results.update(_gradcheck_renderer(seed, fault))
     results.update(_gradcheck_decoder(seed, fault))

@@ -2,9 +2,10 @@
 
 A run is configured by one nested JSON document. Every key has a default
 below; a file or command-line override may only touch keys that exist here —
-an unknown key is an error naming the full dotted path.  The fully-resolved
-document is echoed to ``out_dir/config.resolved`` so each run records
-exactly what it ran with.
+an unknown key is an error naming the full dotted path. SCHEMA gives every
+leaf its JSON kind and range; a value is checked against it, never
+converted. The fully-resolved document is echoed to
+``out_dir/config.resolved`` so each run records exactly what it ran with.
 
 Seed resolution: an explicit ``seed`` (file or flag) wins; otherwise the
 ``SQS_SEED`` environment variable; otherwise 0.
@@ -90,19 +91,6 @@ def _merge(base, override, path=""):
     return out
 
 
-def set_key(cfg, dotted, value):
-    """Override one dotted key in place; the key must already exist."""
-    parts = dotted.split(".")
-    node = cfg
-    for i, part in enumerate(parts[:-1]):
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key: {'.'.join(parts[: i + 1])}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    node[parts[-1]] = value
-
-
 def load_config(path=None, overrides=None):
     """Defaults <- file <- overrides, with the seed fallback applied.
 
@@ -117,13 +105,15 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"config file not found: {path}")
         except OSError as e:
             raise ConfigError(f"config file {path} cannot be read: {e.strerror}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(document, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         cfg = _merge(cfg, document)
     for dotted, value in (overrides or {}).items():
-        set_key(cfg, dotted, value)
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        cfg = _merge(cfg, value)  # a dotted key applies as a file key would
     if cfg["seed"] is None:
         env = os.environ.get("SQS_SEED")
         try:
@@ -134,22 +124,39 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
-def _leaf(cfg, dotted, kind):
-    """The value at a dotted key converted by kind (int or float); a value
-    kind rejects, or a float that is not finite, raises ConfigError naming
-    the key."""
-    value = cfg
-    for part in dotted.split("."):
-        value = value[part]
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or (kind is float and not math.isfinite(out)):
-        what = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{dotted} must be {what}, got {value!r}")
-    return out
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
+
+def _is_finite(v):
+    # math.isfinite overflows on an integer too large for a float.
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+# The encoder halves each view down to its coarsest pyramid stride.
+_STRIDE = enc.STRIDES[-1]
+
+# JSON kinds: the test a value must pass and how an error names the kind.
+# JSON integers pass as numbers; bools pass only as bools.
+_INT = (_is_int, "an integer")
+_FLOAT = (_is_finite, "a finite number")
+_FLOAT_OR_NULL = (lambda v: v is None or _is_finite(v), "null or a finite number")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_SIZE = (
+    lambda v: isinstance(v, list) and len(v) == 2
+    and all(_is_int(x) and x >= 1 and x % _STRIDE == 0 for x in v),
+    f"two positive multiples of {_STRIDE}",
+)
+_BOX = (
+    lambda v: isinstance(v, list) and len(v) == 2
+    and all(isinstance(c, list) and len(c) == 3 and all(map(_is_finite, c)) for c in v)
+    and all(lo < hi for lo, hi in zip(*v)),
+    "two finite [x, y, z] corners with low < high",
+)
 
 _POSITIVE = (lambda x: x > 0, "> 0")
 _NON_NEGATIVE = (lambda x: x >= 0, ">= 0")
@@ -157,60 +164,67 @@ _AT_LEAST_ONE = (lambda x: x >= 1, ">= 1")
 _UNIT = (lambda x: 0 <= x <= 1, "in [0, 1]")
 _UNIT_OPEN = (lambda x: 0 < x <= 1, "in (0, 1]")
 
-# Leaves no typed sub-config builds: their kind and, where limited, range.
-_LEAVES = (
-    ("seed", int, None),
-    ("data.n_scenes", int, _AT_LEAST_ONE),
-    ("data.n_objects", int, _AT_LEAST_ONE),
-    ("data.n_views", int, _AT_LEAST_ONE),
-    ("data.keep_rate", float, _UNIT_OPEN),
-    ("pretrain.peak_lr", float, _POSITIVE),
-    ("pretrain.weight_decay", float, _NON_NEGATIVE),
-    ("pretrain.hflip_prob", float, _UNIT),
-    ("pretrain.checkpoint_every", int, _NON_NEGATIVE),
-    ("pretrain.snapshot_every", int, _NON_NEGATIVE),
-    ("finetune.steps", int, _AT_LEAST_ONE),
-    ("finetune.lr", float, _POSITIVE),
-    ("finetune.weight_decay", float, _NON_NEGATIVE),
-    ("finetune.grid", int, _AT_LEAST_ONE),
-    ("finetune.d_task", int, _AT_LEAST_ONE),
-    ("finetune.train_fraction", float, _UNIT_OPEN),
-)
+# Every leaf of DEFAULTS by dotted key: its JSON kind and, where limited,
+# its range (a null voxel_size has none).
+SCHEMA = {
+    "seed": (_INT, _NON_NEGATIVE),
+    "out_dir": (_PATH, None),
+    "data.n_scenes": (_INT, _AT_LEAST_ONE),
+    "data.n_objects": (_INT, _AT_LEAST_ONE),
+    "data.bounds": (_BOX, None),
+    "data.n_views": (_INT, _AT_LEAST_ONE),
+    "data.image_size": (_SIZE, None),
+    "data.keep_rate": (_FLOAT, _UNIT_OPEN),
+    "decoder.n_layers": (_INT, _NON_NEGATIVE),
+    "decoder.n_offsets": (_INT, _AT_LEAST_ONE),
+    "decoder.n_heads": (_INT, _AT_LEAST_ONE),
+    "decoder.voxel_size": (_FLOAT_OR_NULL, _POSITIVE),
+    "decoder.queries": (_INT, _AT_LEAST_ONE),
+    "decoder.feature_dim": (_INT, _AT_LEAST_ONE),
+    "pretrain.total_steps": (_INT, _AT_LEAST_ONE),
+    "pretrain.warmup_steps": (_INT, _NON_NEGATIVE),
+    "pretrain.peak_lr": (_FLOAT, _POSITIVE),
+    "pretrain.weight_decay": (_FLOAT, _NON_NEGATIVE),
+    "pretrain.w_rgb": (_FLOAT, _NON_NEGATIVE),
+    "pretrain.w_depth": (_FLOAT, _NON_NEGATIVE),
+    "pretrain.hflip_prob": (_FLOAT, _UNIT),
+    "pretrain.checkpoint_every": (_INT, _NON_NEGATIVE),
+    "pretrain.snapshot_every": (_INT, _NON_NEGATIVE),
+    "finetune.steps": (_INT, _AT_LEAST_ONE),
+    "finetune.lr": (_FLOAT, _POSITIVE),
+    "finetune.weight_decay": (_FLOAT, _NON_NEGATIVE),
+    "finetune.grid": (_INT, _AT_LEAST_ONE),
+    "finetune.k": (_INT, _AT_LEAST_ONE),
+    "finetune.alpha_thresh": (_FLOAT, _UNIT),
+    "finetune.pe_hidden": (_INT, _AT_LEAST_ONE),
+    "finetune.d_task": (_INT, _AT_LEAST_ONE),
+    "finetune.use_interaction": (_BOOL, None),
+    "finetune.train_fraction": (_FLOAT, _UNIT_OPEN),
+}
 
 
 def validate(cfg):
-    """Check the kind and range of each leaf in _LEAVES and build every typed
-    sub-config so its own invariants run. The document is left as it is."""
+    """Check every leaf against SCHEMA and total_steps > warmup_steps, then
+    build each typed sub-config so its own invariants run. The document is
+    left as it is."""
+    for dotted, ((is_kind, kind), limit) in SCHEMA.items():
+        value = cfg
+        for part in dotted.split("."):
+            value = value[part]
+        if not is_kind(value):
+            raise ConfigError(f"{dotted} must be {kind}, got {value!r}")
+        if limit is not None and value is not None and not limit[0](value):
+            raise ConfigError(f"{dotted} must be {limit[1]}, got {value!r}")
+    p = cfg["pretrain"]
+    if p["total_steps"] <= p["warmup_steps"]:
+        raise ConfigError("pretrain.total_steps must exceed pretrain.warmup_steps "
+                          f"({p['total_steps']} <= {p['warmup_steps']})")
     try:
         decoder_config(cfg)
         loss_weights(cfg)
         interaction_config(cfg)
     except ValueError as e:
         raise ConfigError(str(e))
-    for dotted, kind, limit in _LEAVES:
-        value = _leaf(cfg, dotted, kind)
-        if limit is not None and not limit[0](value):
-            raise ConfigError(f"{dotted} must be {limit[1]}, got {value!r}")
-    # The encoder halves each view down to its coarsest pyramid stride.
-    stride = enc.STRIDES[-1]
-    size = cfg["data"]["image_size"]
-    if not (isinstance(size, list) and len(size) == 2
-            and all(isinstance(v, int) and v >= 1 and v % stride == 0 for v in size)):
-        raise ConfigError(
-            f"data.image_size must be two positive multiples of {stride}, got {size!r}"
-        )
-    interaction = cfg["finetune"]["use_interaction"]
-    if not isinstance(interaction, bool):
-        raise ConfigError(
-            f"finetune.use_interaction must be true or false, got {interaction!r}"
-        )
-    steps = _leaf(cfg, "pretrain.total_steps", int)
-    warmup = _leaf(cfg, "pretrain.warmup_steps", int)
-    if steps <= warmup:
-        raise ConfigError(
-            "pretrain.total_steps must exceed pretrain.warmup_steps "
-            f"({steps} <= {warmup})"
-        )
 
 
 def write_resolved(cfg, out_dir):
@@ -226,26 +240,17 @@ def write_resolved(cfg, out_dir):
 def decoder_config(cfg):
     d = cfg["decoder"]
     return DecoderConfig(
-        n_layers=_leaf(cfg, "decoder.n_layers", int),
-        n_offsets=_leaf(cfg, "decoder.n_offsets", int),
-        n_heads=_leaf(cfg, "decoder.n_heads", int),
-        n_views=_leaf(cfg, "data.n_views", int),
-        voxel_size=None if d["voxel_size"] is None else _leaf(cfg, "decoder.voxel_size", float),
-        K=_leaf(cfg, "decoder.queries", int),
-        feature_dim=_leaf(cfg, "decoder.feature_dim", int),
+        n_layers=d["n_layers"], n_offsets=d["n_offsets"], n_heads=d["n_heads"],
+        n_views=cfg["data"]["n_views"], voxel_size=d["voxel_size"], K=d["queries"],
+        feature_dim=d["feature_dim"],
     )
 
 
 def loss_weights(cfg):
-    return LossWeights(
-        w_rgb=_leaf(cfg, "pretrain.w_rgb", float),
-        w_depth=_leaf(cfg, "pretrain.w_depth", float),
-    )
+    p = cfg["pretrain"]
+    return LossWeights(w_rgb=p["w_rgb"], w_depth=p["w_depth"])
 
 
 def interaction_config(cfg):
-    return InteractionConfig(
-        k=_leaf(cfg, "finetune.k", int),
-        alpha_thresh=_leaf(cfg, "finetune.alpha_thresh", float),
-        pe_hidden=_leaf(cfg, "finetune.pe_hidden", int),
-    )
+    f = cfg["finetune"]
+    return InteractionConfig(k=f["k"], alpha_thresh=f["alpha_thresh"], pe_hidden=f["pe_hidden"])

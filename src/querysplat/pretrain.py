@@ -80,14 +80,17 @@ def reconstruction_loss(pred_rgb, pred_depth, gt_rgb, gt_depth, valid_mask, w):
 
 
 def lr_schedule(step, total_steps, warmup=500, peak=2e-4):
-    """Linear warmup to the peak, then cosine decay to exactly zero."""
+    """Linear warmup to the peak, then cosine decay to exactly zero; with
+    no warmup the cosine starts at the peak."""
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
     if total_steps <= warmup:
         raise ValueError(
             f"total_steps ({total_steps}) must exceed warmup ({warmup})"
         )
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    if step <= warmup:
+    if warmup > 0 and step <= warmup:
         return peak * (step / warmup)
     progress = (step - warmup) / (total_steps - warmup)
     return peak * 0.5 * (1.0 + np.cos(np.pi * progress))

@@ -39,6 +39,8 @@ from .images import _read_exact
 
 SCENE_MAGIC = b"SQSSCN1"
 SCENE_VERSION = 1
+# Gaussians sampled on the surface of each generated object.
+POINTS_PER_OBJECT = 40
 
 
 class SceneFormatError(ValueError):
@@ -183,8 +185,8 @@ def _sample_box_surface(rng, n):
 def generate_scene(spec, seed):
     """Build a deterministic random Scene from a spec dict.
 
-    Required keys: n_objects, bounds (2x3 or flat 6), n_views, image_size.
-    Optional: points_per_object (default 40).
+    Required keys: n_objects, bounds (2x3 or flat 6), n_views, image_size;
+    other keys are ignored. Each object gets POINTS_PER_OBJECT Gaussians.
     """
     required = {"n_objects", "bounds", "n_views", "image_size"}
     missing = required - set(spec)
@@ -192,13 +194,10 @@ def generate_scene(spec, seed):
         raise ValueError(f"scene spec missing keys: {sorted(missing)}")
     n_objects = int(spec["n_objects"])
     n_views = int(spec["n_views"])
-    points_per_object = int(spec.get("points_per_object", 40))
     if n_objects < 1:
         raise ValueError(f"n_objects must be >= 1, got {n_objects}")
     if n_views < 1:
         raise ValueError(f"n_views must be >= 1, got {n_views}")
-    if points_per_object < 1:
-        raise ValueError(f"points_per_object must be >= 1, got {points_per_object}")
     bounds = np.asarray(spec["bounds"], dtype=np.float64).reshape(2, 3)
     if not np.all(bounds[1] > bounds[0]):
         raise ValueError(f"degenerate bounds: {bounds.tolist()}")
@@ -208,9 +207,9 @@ def generate_scene(spec, seed):
     extent = bounds[1] - bounds[0]
     min_extent = float(extent.min())
 
-    gaussians = np.recarray(n_objects * points_per_object, dtype=GAUSSIAN_DTYPE)
+    gaussians = np.recarray(n_objects * POINTS_PER_OBJECT, dtype=GAUSSIAN_DTYPE)
     for i in range(n_objects):
-        g = gaussians[i * points_per_object : (i + 1) * points_per_object]
+        g = gaussians[i * POINTS_PER_OBJECT : (i + 1) * POINTS_PER_OBJECT]
         is_sphere = rng.uniform() < 0.5
         radius = rng.uniform(0.08, 0.18) * min_extent
         # Keep the whole object strictly inside the bounds.
@@ -218,16 +217,16 @@ def generate_scene(spec, seed):
         hi = bounds[1] - radius * 1.001
         center = rng.uniform(lo, hi)
         if is_sphere:
-            unit = _sample_sphere_surface(rng, points_per_object)
+            unit = _sample_sphere_surface(rng, POINTS_PER_OBJECT)
         else:
-            unit = _sample_box_surface(rng, points_per_object)
+            unit = _sample_box_surface(rng, POINTS_PER_OBJECT)
         g.mu = center + radius * unit
-        q = rng.normal(size=(points_per_object, 4))
+        q = rng.normal(size=(POINTS_PER_OBJECT, 4))
         g.quat = q / np.linalg.norm(q, axis=1, keepdims=True)
-        g.scale = rng.uniform(0.25, 0.6, size=(points_per_object, 3)) * radius
-        g.opacity = rng.uniform(0.6, 1.0, size=points_per_object)
+        g.scale = rng.uniform(0.25, 0.6, size=(POINTS_PER_OBJECT, 3)) * radius
+        g.opacity = rng.uniform(0.6, 1.0, size=POINTS_PER_OBJECT)
         base_color = rng.uniform(size=3)
-        jitter = rng.uniform(-0.08, 0.08, size=(points_per_object, 3))
+        jitter = rng.uniform(-0.08, 0.08, size=(POINTS_PER_OBJECT, 3))
         g.color = np.clip(base_color + jitter, 0.0, 1.0)
 
     return Scene(

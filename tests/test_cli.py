@@ -143,6 +143,17 @@ class TestUsageAndExitCodes:
         ({"finetune": {"grid": "x"}}, "finetune.grid"),
         ({"finetune": {"lr": "fast"}}, "finetune.lr"),
         ({"seed": "one"}, "seed"),
+        ({"out_dir": 5}, "out_dir"),
+        ({"data": {"n_scenes": 2.7}}, "data.n_scenes"),
+        ({"data": {"n_scenes": True}}, "data.n_scenes"),
+        ({"finetune": {"k": 2.5}}, "finetune.k"),
+        ({"decoder": {"queries": "64"}}, "decoder.queries"),
+        ({"decoder": {"voxel_size": "0.1"}}, "decoder.voxel_size"),
+        ({"seed": 1.9}, "seed"),
+        ({"finetune": {"alpha_thresh": True}}, "finetune.alpha_thresh"),
+        ({"data": {"bounds": "x"}}, "data.bounds"),
+        ({"data": {"bounds": [[1, 1, 1], [-1, -1, -1]]}}, "data.bounds"),
+        ({"pretrain": {"warmup_steps": -5}}, "pretrain.warmup_steps"),
     ])
     def test_mistyped_config_value_is_named(self, tmp_path, capsys, document, key):
         bad = tmp_path / "bad.json"
@@ -150,6 +161,14 @@ class TestUsageAndExitCodes:
         assert run("pretrain", "--config", bad, "--dry-run") == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key} must be "), err
+
+    def test_mistyped_out_dir_stops_gen_data_before_any_write(self, tmp_path, capsys,
+                                                              monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"out_dir": 5}))
+        assert run("gen-data", "--config", bad) == 1
+        assert capsys.readouterr().err == "error: out_dir must be a non-empty string, got 5\n"
 
     def test_pretrain_requires_data(self, ws, tmp_path):
         _, cfg = ws

@@ -5,6 +5,8 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import querysplat.config as cf
 from querysplat.decoder import DecoderConfig
@@ -17,6 +19,21 @@ def write_json(tmp_path, document, name="run.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document))
     return str(path)
+
+
+def nested(dotted, value):
+    """The config document that sets one dotted key."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+def leaves(table, path=""):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{path}{key}.")
+        else:
+            yield f"{path}{key}"
 
 
 class TestDefaults:
@@ -113,6 +130,14 @@ class TestFileErrors:
         with pytest.raises(cf.ConfigError, match="not valid JSON"):
             cf.load_config(str(path))
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{", b'{"seed": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "int-over-digit-limit"])
+    def test_undecodable_document(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(cf.ConfigError, match="not valid JSON"):
+            cf.load_config(str(path))
+
     def test_directory(self, tmp_path):
         with pytest.raises(cf.ConfigError, match="cannot be read"):
             cf.load_config(str(tmp_path))
@@ -175,16 +200,75 @@ class TestValidation:
         ("finetune.d_task", 0),
         ("pretrain.w_depth", float("nan")),
         ("data.n_objects", float("inf")),
+        ("out_dir", 5),
+        ("out_dir", ""),
+        ("data.n_scenes", 2.7),
+        ("data.n_scenes", True),
+        ("data.n_scenes", 4.0),
+        ("finetune.k", 2.5),
+        ("decoder.queries", "64"),
+        ("decoder.voxel_size", "0.1"),
+        ("decoder.voxel_size", 0),
+        ("seed", 1.9),
+        ("seed", -1),
+        ("finetune.alpha_thresh", True),
+        ("data.bounds", "x"),
+        ("data.bounds", [[1, 1, 1], [-1, -1, -1]]),
+        ("data.bounds", [[-1, -1, -1], [1, 1, float("inf")]]),
+        ("data.bounds", [[-1, -1], [1, 1]]),
+        ("pretrain.warmup_steps", -5),
+        pytest.param("pretrain.w_rgb", 10**400, id="pretrain.w_rgb-10**400"),
     ])
     def test_leaf_out_of_kind_or_range_is_named(self, tmp_path, dotted, value):
-        section, key = dotted.split(".")
         with pytest.raises(cf.ConfigError, match=f"^{dotted} must be "):
-            self.load({section: {key: value}}, tmp_path)
+            self.load(nested(dotted, value), tmp_path)
+
+    def test_schema_declares_every_default_leaf(self):
+        assert set(cf.SCHEMA) == set(leaves(cf.DEFAULTS))
+        assert len(cf.SCHEMA) == 33
+
+    def test_no_warmup_is_allowed(self, tmp_path):
+        assert self.load({"pretrain": {"warmup_steps": 0}}, tmp_path)["pretrain"]["warmup_steps"] == 0
 
     def test_checked_values_are_not_rewritten(self, tmp_path):
         cfg = self.load({"pretrain": {"peak_lr": 1, "hflip_prob": 0}}, tmp_path)
         assert cfg["pretrain"]["peak_lr"] == 1 and type(cfg["pretrain"]["peak_lr"]) is int
         assert cfg["pretrain"]["hflip_prob"] == 0 and type(cfg["pretrain"]["hflip_prob"]) is int
+
+
+# JSON values of every kind, including the ones no leaf takes: bools where
+# numbers go, non-finite floats, an integer too large for a float, and
+# lists and tables of them.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-40, 130),
+    st.integers(), st.just(10**400), st.just(-10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=400, deadline=None)
+@given(dotted=st.sampled_from(sorted(cf.SCHEMA)), value=JSON_VALUES)
+def test_any_leaf_value_loads_unchanged_or_raises_config_error(fuzz_dir, dotted, value):
+    path = write_json(fuzz_dir, nested(dotted, value))
+    try:
+        cfg = cf.load_config(path, overrides={"seed": 3} if dotted != "seed" else None)
+    except cf.ConfigError:
+        return
+    got = cfg
+    for part in dotted.split("."):
+        got = got[part]
+    if value is not None or dotted != "seed":
+        assert json.dumps(got) == json.dumps(value)
 
 
 class TestWriteResolved:

@@ -154,6 +154,16 @@ class TestLrSchedule:
         with pytest.raises(ValueError, match="warmup"):
             pt.lr_schedule(10, 400, warmup=500)
 
+    def test_no_warmup_starts_the_cosine_at_the_peak(self):
+        assert pt.lr_schedule(0, 2000, warmup=0) == 2e-4
+        np.testing.assert_allclose(
+            pt.lr_schedule(1000, 2000, warmup=0), 1e-4, rtol=0, atol=1e-12
+        )
+
+    def test_negative_warmup_rejected(self):
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            pt.lr_schedule(10, 2000, warmup=-5)
+
     def test_step_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             pt.lr_schedule(-1, 2000)

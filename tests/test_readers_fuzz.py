@@ -40,7 +40,7 @@ def _valid_files(root):
         "mask": lambda p: write_mask(p, rng.uniform(size=(3, 4)) < 0.5),
         "scene": lambda p: sc.save_scene(p, sc.generate_scene(
             {"n_objects": 1, "bounds": [[-1, -1, -1], [1, 1, 1]], "n_views": 2,
-             "image_size": (8, 8), "points_per_object": 3}, seed=0)),
+             "image_size": (8, 8)}, seed=0)),
         "checkpoint": lambda p: save_checkpoint(
             p, {"a.w": rng.normal(size=(2, 3)), "b": rng.normal(size=4), "s": np.ones(())}
         ),
@@ -63,7 +63,9 @@ def _valid_files(root):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    return root, _valid_files(root)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc, "POINTS_PER_OBJECT", 3)  # a small scene file
+        return root, _valid_files(root)
 
 
 @st.composite

@@ -74,8 +74,9 @@ class TestGenerateScene:
             )
             assert inside.mean() > 0.9
 
-    def test_mu_within_bounds_1000_seeds(self):
-        spec = dict(SPEC, n_objects=2, points_per_object=8)
+    def test_mu_within_bounds_1000_seeds(self, monkeypatch):
+        monkeypatch.setattr(sc, "POINTS_PER_OBJECT", 8)
+        spec = dict(SPEC, n_objects=2)
         lo = np.asarray(spec["bounds"][0])
         hi = np.asarray(spec["bounds"][1])
         for seed in range(1000):
@@ -97,9 +98,10 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="n_views"):
             sc.generate_scene({k: v for k, v in SPEC.items() if k != "n_views"}, 0)
 
-    def test_gaussian_count(self):
-        scene = sc.generate_scene(dict(SPEC, points_per_object=10), seed=0)
-        assert len(scene.gaussians) == SPEC["n_objects"] * 10
+    def test_gaussian_count(self, monkeypatch):
+        assert len(sc.generate_scene(SPEC, seed=0).gaussians) == SPEC["n_objects"] * 40
+        monkeypatch.setattr(sc, "POINTS_PER_OBJECT", 10)
+        assert len(sc.generate_scene(SPEC, seed=0).gaussians) == SPEC["n_objects"] * 10
 
 
 def single_gaussian_scene(opacity=1.0):
