@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ParamStore",
+    "init_rng",
     "AutodiffError",
     "NonFiniteError",
     "NondeterministicError",
@@ -564,6 +565,30 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # Parameters
 # ---------------------------------------------------------------------------
+
+
+class _NoDraws:
+    """Stands in for a NumPy Generator in parameter init code whose values a
+    checkpoint will overwrite. Nothing is sampled: a normal draw is zeros of
+    the requested shape, a uniform draw the interval's midpoint, and
+    ``integers`` returns the seed None, so a generator seeded from this one
+    is one too."""
+
+    def normal(self, size):
+        return np.zeros(size)
+
+    def uniform(self, low, high, size):
+        return np.full(size, 0.5 * (low + high))
+
+    def integers(self, high):
+        return None
+
+
+def init_rng(seed):
+    """The generator init code draws parameter values from: seeded, or for
+    seed None a stand-in that draws nothing, for a model a checkpoint fills
+    with the same names and shapes."""
+    return _NoDraws() if seed is None else np.random.default_rng(seed)
 
 
 class ParamStore:

@@ -16,14 +16,13 @@ serialize to identical bytes.
 from __future__ import annotations
 
 import contextlib
-import io
 import math
 import os
 import struct
 
 import numpy as np
 
-from .images import _read_exact
+from .images import _check_remaining
 
 __all__ = ["MAGIC", "CheckpointError", "save_checkpoint", "load_checkpoint"]
 
@@ -37,24 +36,24 @@ class CheckpointError(Exception):
 def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
     """Write a name→array mapping to ``path``, atomically.
 
+    Each record's header is written and then the array's own buffer, so an
+    array that already is C-ordered little-endian float64 is not copied.
     The bytes go to a temporary file next to ``path`` that then replaces it,
     so an interrupted or failed write leaves any previous checkpoint intact.
     """
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    for name in sorted(state):
-        arr = np.asarray(state[name], dtype=np.float64)
-        name_bytes = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(name_bytes)))
-        buf.write(name_bytes)
-        buf.write(struct.pack("<I", arr.ndim))
-        for dim in arr.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(np.ascontiguousarray(arr).astype("<f8").tobytes())
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(buf.getvalue())
+            f.write(MAGIC)
+            for name in sorted(state):
+                # np.ascontiguousarray would make a 0-d array 1-d.
+                arr = np.asarray(state[name], dtype="<f8", order="C")
+                name_bytes = name.encode("utf-8")
+                f.write(struct.pack(
+                    f"<I{len(name_bytes)}sI{arr.ndim}I",
+                    len(name_bytes), name_bytes, arr.ndim, *arr.shape,
+                ))
+                f.write(arr)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -63,11 +62,22 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Read a checkpoint written by :func:`save_checkpoint`."""
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    Each record's data is read straight into its own fresh, writeable,
+    C-ordered float64 array; no two arrays share memory. A declared size
+    larger than the rest of the file is refused before it is read.
+    """
     state: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def check(n, what):
+            _check_remaining(f, n, what, CheckpointError, size)
+
         def read(n, what):
-            return _read_exact(f, n, what, CheckpointError)
+            check(n, what)
+            return f.read(n)
 
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
@@ -84,13 +94,13 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as e:
                 raise CheckpointError(f"parameter name is not UTF-8: {e}") from e
             (rank,) = struct.unpack("<I", read(4, "rank"))
-            shape = tuple(
-                struct.unpack("<I", read(4, f"shape[{i}] of '{name}'"))[0]
-                for i in range(rank)
-            )
-            raw = read(math.prod(shape) * 8, f"data of '{name}'")
-            arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            shape = struct.unpack(f"<{rank}I", read(4 * rank, f"shape of '{name}'"))
+            what = f"data of '{name}'"
+            check(math.prod(shape) * 8, what)
+            arr = np.empty(shape, dtype="<f8")
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"truncated file: {what} ended early")
             if name in state:
                 raise CheckpointError(f"duplicate parameter '{name}' in checkpoint")
-            state[name] = arr
+            state[name] = arr.astype(np.float64, copy=False)
     return state

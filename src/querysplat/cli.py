@@ -189,8 +189,11 @@ def cmd_gen_data(cfg, args):
     return 0
 
 
-def _build_model_for(cfg, bounds):
-    return pt.build_model(bounds, cf.decoder_config(cfg), seed=cfg["seed"])
+def _build_model_for(cfg, bounds, from_checkpoint=False):
+    """The config's pre-training model; one that a checkpoint will fill is
+    built without drawing initial values."""
+    seed = None if from_checkpoint else cfg["seed"]
+    return pt.build_model(bounds, cf.decoder_config(cfg), seed=seed)
 
 
 def _check_views(cfg, scenes):
@@ -209,7 +212,7 @@ def cmd_pretrain(cfg, args):
     cf.write_resolved(cfg, out)
     scenes, samples = _load_dataset(_scene_dirs(args.data))
     _check_views(cfg, scenes)
-    model = _build_model_for(cfg, scenes[0].bounds)
+    model = _build_model_for(cfg, scenes[0].bounds, from_checkpoint=bool(args.resume))
 
     resume_state = None
     if args.resume:
@@ -293,7 +296,7 @@ def _split_scenes(dirs, fraction):
 
 
 def _load_pretrained(cfg, path, bounds):
-    model = _build_model_for(cfg, bounds)
+    model = _build_model_for(cfg, bounds, from_checkpoint=True)
     state = pt.model_state(load_checkpoint(path))
     try:
         model.store.load_state_dict(state)
@@ -302,7 +305,7 @@ def _load_pretrained(cfg, path, bounds):
     return model
 
 
-def _build_task(cfg, bounds, d_pre):
+def _build_task(cfg, bounds, d_pre, from_checkpoint=False):
     f = cfg["finetune"]
     return ft.build_task_model(
         bounds,
@@ -310,8 +313,17 @@ def _build_task(cfg, bounds, d_pre):
         cfg=cf.interaction_config(cfg),
         d_task=f["d_task"],
         d_pre=d_pre,
-        seed=cfg["seed"],
+        seed=None if from_checkpoint else cfg["seed"],
     )
+
+
+def _load_task(cfg, path, bounds, d_pre):
+    task = _build_task(cfg, bounds, d_pre, from_checkpoint=True)
+    try:
+        task.store.load_state_dict(load_checkpoint(path))
+    except ValueError as e:
+        raise UsageError(f"task checkpoint does not match the config: {e}")
+    return task
 
 
 def cmd_finetune(cfg, args):
@@ -354,11 +366,7 @@ def cmd_eval(cfg, args):
     scenes, samples = _load_dataset(held or train)
     _check_views(cfg, scenes)
     model = _load_pretrained(cfg, args.pretrained, scenes[0].bounds)
-    task = _build_task(cfg, scenes[0].bounds, model.decoder_cfg.feature_dim)
-    try:
-        task.store.load_state_dict(load_checkpoint(args.task))
-    except ValueError as e:
-        raise UsageError(f"task checkpoint does not match the config: {e}")
+    task = _load_task(cfg, args.task, scenes[0].bounds, model.decoder_cfg.feature_dim)
 
     use_interaction = f["use_interaction"]
     rows = []

@@ -127,7 +127,7 @@ def init_anchor_array(K, bounds, seed):
     """Raw anchors whose decode is uniform positions and, in the other
     groups, what the heads' initial biases decode to."""
     bounds = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
-    rng = np.random.default_rng(seed)
+    rng = ad.init_rng(seed)
     u = rng.uniform(1e-4, 1.0 - 1e-4, size=(K, 3))
     anchors = np.empty((K, ANCHOR_DIM))
     for group, bias in _HEAD_BIASES.items():

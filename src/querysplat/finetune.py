@@ -341,7 +341,8 @@ def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
     The output projection starts at zero, so the interaction block is an
     exact identity at initialization and the head sees the same features
     with or without it; the block departs from identity as training moves
-    the projection.
+    the projection. With seed None nothing is drawn (see `ad.init_rng`),
+    for a model that a checkpoint then fills.
     """
     cfg = cfg or InteractionConfig()
     bounds = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
@@ -352,7 +353,7 @@ def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
         raise ValueError(f"grid must be >= 1, got {grid}")
     positions = voxel_centers(bounds, g)
 
-    rng = np.random.default_rng(seed)
+    rng = ad.init_rng(seed)
     store = ad.ParamStore()
     store.param("task.queries", rng.normal(size=(g**3, d_task)) * 0.02)
     _init_mlp2(store, rng, "task.interact.pos", 3, cfg.pe_hidden, d_task)
@@ -477,5 +478,5 @@ def run_finetuning(
         if log_file is not None:
             log_file.close()
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, task.store.state_dict())
+        save_checkpoint(checkpoint_path, {n: p.data for n, p in task.store.items()})
     return history

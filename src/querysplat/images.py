@@ -31,16 +31,21 @@ class ImageFormatError(ValueError):
     """Raised when an image file is malformed or truncated."""
 
 
+def _check_remaining(f, n, what, error, size):
+    """Raise error unless 0 <= n <= the bytes left in f, a file of `size`
+    bytes, so a forged header cannot ask for a huge buffer."""
+    left = size - f.tell()
+    if not 0 <= n <= left:
+        raise error(f"truncated file: {what} needs {n} bytes, {left} remain")
+
+
 def _read_exact(f, n, what, error=ImageFormatError):
     """Exactly n bytes of the open binary file f, or raise error.
 
     A declared size that is negative or larger than the rest of the file is
-    refused before any read, so a forged header cannot ask for a huge buffer.
-    The scene and checkpoint readers pass their own error class.
+    refused before any read. The scene reader passes its own error class.
     """
-    left = os.fstat(f.fileno()).st_size - f.tell()
-    if not 0 <= n <= left:
-        raise error(f"truncated file: {what} needs {n} bytes, {left} remain")
+    _check_remaining(f, n, what, error, os.fstat(f.fileno()).st_size)
     return f.read(n)
 
 

@@ -189,8 +189,12 @@ class PretrainModel:
 
 
 def build_model(bounds, decoder_cfg, seed):
-    """Encoder + decoder + learnable query anchors in one ParamStore."""
-    rng = np.random.default_rng(seed)
+    """Encoder + decoder + learnable query anchors in one ParamStore.
+
+    With seed None the same parameters are built without drawing their
+    values (see `ad.init_rng`), for a model that a checkpoint then fills.
+    """
+    rng = ad.init_rng(seed)
     store = ad.ParamStore()
     enc.init_encoder_params(store, rng)
     dec.init_decoder_params(store, rng, decoder_cfg)
@@ -265,14 +269,17 @@ def pretrain_step(model, sample, opt_state, w, lr):
 def train_state_dict(model, opt):
     """Checkpoint payload: parameters plus optimizer moments and step count.
 
-    Optimizer entries use the reserved ``opt.`` name prefix, which no model
-    parameter uses, so `model_state` can split them back out.
+    The arrays are the live ones, not copies, and AdamW updates the moments
+    in place, so serialise the payload before the next step. Optimizer
+    entries use the reserved ``opt.`` name prefix, which no model parameter
+    uses, so `model_state` can split them back out.
     """
-    state = model.store.state_dict()
-    for name in model.store.names():
-        zero = np.zeros_like(model.store[name].data)
-        state[f"opt.m:{name}"] = opt.m.get(name, zero).copy()
-        state[f"opt.v:{name}"] = opt.v.get(name, zero).copy()
+    state = {}
+    for name, p in model.store.items():
+        state[name] = p.data
+        for key, moments in (("opt.m", opt.m), ("opt.v", opt.v)):
+            moment = moments.get(name)
+            state[f"{key}:{name}"] = np.zeros_like(p.data) if moment is None else moment
     state["opt.step"] = np.array(opt.step, dtype=np.int64)
     return state
 

@@ -1,13 +1,21 @@
 """Tests for the binary checkpoint container."""
 
+import hashlib
+import itertools
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from querysplat import checkpoint
+from querysplat import checkpoint, cli
 from querysplat.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+
+
+def sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 class TestRoundTrip:
@@ -46,6 +54,68 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded["décodeur.weight"], [0.0, 1.0])
 
 
+class TestGoldenBytes:
+    """Digests of files that the writer made before it wrote each array's
+    own buffer; the same states must keep giving the same bytes."""
+
+    def test_hand_built_state(self, tmp_path):
+        state = {
+            "opt.step": np.array(7, dtype=np.int64),  # 0-d, and not float64
+            "empty": np.zeros((0,)),
+            "cube": np.arange(24, dtype=np.float64).reshape(2, 3, 4) / 7.0 - 1.5,
+            "décodeur.poids": np.array([[-0.0, np.pi], [1e-300, -2.5e10]]),
+        }
+        path = tmp_path / "hand.ckpt"
+        save_checkpoint(str(path), state)
+        assert sha256(path) == (
+            "cbb9177e00936927622032f865f64540f5c6f7eaad416ebb24be4f7a3961a5ee"
+        )
+
+    def test_two_step_pretraining(self, tmp_path):
+        doc = {
+            "seed": 0,
+            "data": {"n_scenes": 1, "n_objects": 1, "n_views": 2,
+                     "image_size": [32, 32], "keep_rate": 0.5},
+            "decoder": {"queries": 16, "feature_dim": 32},
+            "pretrain": {"total_steps": 2, "warmup_steps": 1, "checkpoint_every": 1,
+                         "snapshot_every": 0, "hflip_prob": 0.5},
+        }
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        data, out = tmp_path / "data", tmp_path / "pre"
+        assert cli.main(["gen-data", "--config", str(cfg), "--out-dir", str(data)]) == 0
+        assert cli.main(["pretrain", "--config", str(cfg), "--data", str(data),
+                         "--out-dir", str(out)]) == 0
+        step1 = "7bf402f7263c41d3a4798b29689072d4ce1ab48a9340c5f5b07c7de474ab3ca2"
+        step2 = "ef1cdd856ddf858a1f563d16561da67956e55b22fc795fce216b60d4cd57aff4"
+        assert sha256(out / "checkpoints" / "step000001.ckpt") == step1
+        assert sha256(out / "checkpoints" / "step000002.ckpt") == step2
+        assert sha256(out / "model.ckpt") == step2
+
+
+class TestLoadedArrays:
+    def test_fresh_writeable_native_arrays(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(str(path), {
+            "a": np.arange(12.0).reshape(3, 4).T,  # Fortran order on the way in
+            "b": np.array(3, dtype=np.int64),
+            "c": np.zeros((0, 2)),
+            "d": np.ones((2, 2, 2)),
+            "e": np.arange(5.0),
+        })
+        loaded = load_checkpoint(str(path))
+        for arr in loaded.values():
+            assert arr.dtype == np.float64 and arr.dtype.isnative
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            assert arr.flags.owndata  # no buffer shared with other records
+        for x, y in itertools.combinations(loaded.values(), 2):
+            assert not np.shares_memory(x, y)
+        np.testing.assert_array_equal(loaded["a"], np.arange(12.0).reshape(3, 4).T)
+        assert loaded["b"].shape == () and loaded["b"] == 3.0
+        loaded["d"][0, 0, 0] = -1.0  # writeable, and no other array sees it
+        assert loaded["e"][0] == 0.0
+
+
 class TestMalformed:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -80,6 +150,18 @@ class TestMalformed:
         data[shape_at : shape_at + 8] = struct.pack("<II", 2**32 - 1, 2**32 - 1)
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="data of 'w' needs"):
+            load_checkpoint(str(path))
+
+    def test_forged_rank(self, tmp_path):
+        # A rank of 2^32 - 1 declares a shape field of 4 * (2^32 - 1) bytes;
+        # it is refused as a whole, before any of it is read.
+        path = tmp_path / "r.bin"
+        save_checkpoint(str(path), {"w": np.ones((4, 4))})
+        data = bytearray(path.read_bytes())
+        rank_at = len(MAGIC) + 4 + 1
+        data[rank_at : rank_at + 4] = struct.pack("<I", 2**32 - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=r"shape of 'w' needs 17179869180 bytes"):
             load_checkpoint(str(path))
 
     def test_non_utf8_name(self, tmp_path):

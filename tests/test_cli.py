@@ -665,6 +665,103 @@ class TestEval:
         assert float(lines[1].split(",")[2]) == 1.0
 
 
+class TestModelsFilledFromACheckpoint:
+    """`render`, `finetune`, `eval` and `pretrain --resume` build the models
+    a checkpoint fills without drawing initial values; what they hold after
+    the load is what a seeded build plus `load_state_dict` holds."""
+
+    @staticmethod
+    def assert_same_parameters(got, want):
+        assert got.names() == want.names()
+        for name, p in want.items():
+            assert got[name].data.dtype == p.data.dtype == np.float64
+            assert got[name].data.shape == p.data.shape
+            assert got[name].data.tobytes() == p.data.tobytes(), name
+
+    @pytest.fixture
+    def setting(self, ws, dataset, pretrained, finetuned):
+        import querysplat.config as cf
+        _, cfg = ws
+        doc = cf.load_config(cfg)
+        scene = sc.load_scene(os.path.join(dataset, "scenes", "0000", "scene.bin"))
+        return (doc, scene.bounds, os.path.join(pretrained, "model.ckpt"),
+                os.path.join(finetuned, "task.ckpt"))
+
+    def test_pretrained_model_matches_a_seeded_build(self, setting):
+        import querysplat.config as cf
+        doc, bounds, ckpt, _ = setting
+        got = cli._load_pretrained(doc, ckpt, bounds)
+        want = pt.build_model(bounds, cf.decoder_config(doc), seed=doc["seed"])
+        want.store.load_state_dict(pt.model_state(load_checkpoint(ckpt)))
+        self.assert_same_parameters(got.store, want.store)
+        assert got.decoder_cfg == want.decoder_cfg
+        assert got.bounds.tobytes() == want.bounds.tobytes()
+
+    def test_task_model_matches_a_seeded_build(self, setting):
+        doc, bounds, _, task_ckpt = setting
+        got = cli._load_task(doc, task_ckpt, bounds, 32)
+        want = cli._build_task(doc, bounds, 32)
+        want.store.load_state_dict(load_checkpoint(task_ckpt))
+        self.assert_same_parameters(got.store, want.store)
+        assert got.positions.tobytes() == want.positions.tobytes()
+        assert (got.grid, got.cfg) == (want.grid, want.cfg)
+
+    def test_loading_draws_nothing(self, setting, monkeypatch):
+        doc, bounds, ckpt, task_ckpt = setting
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model filled from a checkpoint drew values")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        cli._load_pretrained(doc, ckpt, bounds)
+        cli._load_task(doc, task_ckpt, bounds, 32)
+        with pytest.raises(AssertionError, match="drew values"):
+            cli._build_task(doc, bounds, 32)
+
+    def test_blank_builds_keep_names_and_shapes(self, setting):
+        import querysplat.config as cf
+        doc, bounds, _, _ = setting
+        for blank, seeded in (
+            (pt.build_model(bounds, cf.decoder_config(doc), seed=None).store,
+             pt.build_model(bounds, cf.decoder_config(doc), seed=0).store),
+            (cli._build_task(doc, bounds, 32, from_checkpoint=True).store,
+             cli._build_task(doc, bounds, 32).store),
+        ):
+            assert blank.names() == seeded.names()
+            for name, p in seeded.items():
+                assert blank[name].data.shape == p.data.shape
+                assert np.all(np.isfinite(blank[name].data))
+
+    def test_resume_builds_its_model_without_drawing(self, ws, dataset, pretrained,
+                                                     tmp_path, monkeypatch):
+        _, cfg = ws
+        seeds = []
+        build = pt.build_model
+
+        def spy(bounds, decoder_cfg, seed):
+            seeds.append(seed)
+            return build(bounds, decoder_cfg, seed)
+
+        monkeypatch.setattr(pt, "build_model", spy)
+        mid = os.path.join(pretrained, "checkpoints", "step000003.ckpt")
+        assert run("pretrain", "--config", cfg, "--data", dataset,
+                   "--out-dir", tmp_path / "r", "--resume", mid) == 0
+        assert seeds == [None]
+        with open(os.path.join(pretrained, "model.ckpt"), "rb") as f:
+            assert (tmp_path / "r" / "model.ckpt").read_bytes() == f.read()
+
+    def test_mismatched_task_checkpoint_rejected(self, ws, dataset, pretrained,
+                                                 finetuned, tmp_path, capsys):
+        _, cfg = ws
+        code = run("eval", "--config", cfg, "--data", dataset, "--grid", 3,
+                   "--pretrained", os.path.join(pretrained, "model.ckpt"),
+                   "--task", os.path.join(finetuned, "task.ckpt"),
+                   "--out-dir", tmp_path / "o")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "does not match" in err and "Traceback" not in err
+
+
 class TestGradcheckCommand:
     def test_passes_and_lists_every_group(self, tmp_path, capsys):
         assert run("gradcheck", "--out-dir", tmp_path / "gc", "--seed", 0) == 0
