@@ -131,8 +131,18 @@ class Tensor:
         Nodes are visited in reverse of a depth-first topological order of
         the graph, which depends only on its structure, so two identical runs
         accumulate gradients in the same order and produce bit-identical
-        buffers. Within one pass nodes are keyed by object identity: every
-        node of the graph is alive until the pass ends, so no two share an id.
+        buffers.
+
+        The pass consumes the graph. Each node is popped off the order and
+        loses its VJP closure and its parent links as its VJP runs, so the
+        forward state they hold is freed as the pass moves toward the
+        leaves; the node keeps only its value. A later ``backward`` that
+        reaches a consumed node raises ``AutodiffError``. Pending gradients
+        are keyed by object identity. That is sound although consumed nodes
+        may be freed mid-pass: a key is added only for a parent of the node
+        being visited, which comes earlier in the order, so every key
+        belongs to a node still waiting in the order, and such nodes are
+        alive and have distinct ids.
         """
         if seed is None:
             seed_arr = np.ones_like(self.data)
@@ -146,17 +156,27 @@ class Tensor:
 
         order = _topological_order(self)
         grads: dict[int, np.ndarray] = {id(self): seed_arr}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
+            vjp, parents = node._vjp, node._parents
+            if vjp is None:
+                if g is not None:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad = node.grad + g
+                continue
+            if vjp is _consumed:
+                if g is None:
+                    continue
+                raise AutodiffError(
+                    f"backward through node '{node.name}', "
+                    "whose graph an earlier backward consumed"
+                )
+            node._vjp, node._parents = _consumed, ()
             if g is None:
                 continue
-            if node._vjp is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad = node.grad + g
-                continue
-            parts = node._vjp(g)
-            for parent, pg in zip(node._parents, parts):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None:
                     continue
                 acc = grads.get(id(parent))
@@ -203,6 +223,11 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
+
+
+def _consumed(g):
+    """The VJP a node holds once a backward pass has run through it."""
+    raise AutodiffError("graph consumed by an earlier backward")
 
 
 def _lift(x) -> Tensor:

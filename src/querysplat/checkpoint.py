@@ -61,14 +61,18 @@ def save_checkpoint(path: str, state: dict[str, np.ndarray]) -> None:
         raise
 
 
-def load_checkpoint(path: str) -> dict[str, np.ndarray]:
+def load_checkpoint(path: str, skip: str | tuple[str, ...] = ()) -> dict[str, np.ndarray]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Each record's data is read straight into its own fresh, writeable,
     C-ordered float64 array; no two arrays share memory. A declared size
-    larger than the rest of the file is refused before it is read.
+    larger than the rest of the file is refused before it is read. Records
+    whose name starts with ``skip`` (a prefix or a tuple of them) are sought
+    past unread, after the same checks. Every record returned must be
+    finite; a NaN or an infinity is refused with the record's name.
     """
     state: dict[str, np.ndarray] = {}
+    skipped: set[str] = set()
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -93,14 +97,21 @@ def load_checkpoint(path: str) -> dict[str, np.ndarray]:
                 name = read(name_len, "name").decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CheckpointError(f"parameter name is not UTF-8: {e}") from e
+            if name in state or name in skipped:
+                raise CheckpointError(f"duplicate parameter '{name}' in checkpoint")
             (rank,) = struct.unpack("<I", read(4, "rank"))
             shape = struct.unpack(f"<{rank}I", read(4 * rank, f"shape of '{name}'"))
             what = f"data of '{name}'"
-            check(math.prod(shape) * 8, what)
+            nbytes = math.prod(shape) * 8
+            check(nbytes, what)
+            if name.startswith(skip):
+                f.seek(nbytes, os.SEEK_CUR)
+                skipped.add(name)
+                continue
             arr = np.empty(shape, dtype="<f8")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"truncated file: {what} ended early")
-            if name in state:
-                raise CheckpointError(f"duplicate parameter '{name}' in checkpoint")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"non-finite value in '{name}'")
             state[name] = arr.astype(np.float64, copy=False)
     return state

@@ -208,17 +208,23 @@ def cmd_pretrain(cfg, args):
         return 0
     if not args.data:
         raise UsageError("pretrain requires --data (a gen-data directory)")
+    p = cfg["pretrain"]
+    resume_state = None
+    if args.resume:
+        resume_state = load_checkpoint(args.resume)
+        done, total = pt.checkpoint_step(resume_state), p["total_steps"]
+        if done == total:
+            print(f"nothing left to run: {args.resume} is at the last step, {total}")
+            return 0
+        if done > total:
+            raise UsageError(
+                f"{args.resume} is at step {done}, past the run's last step {total}"
+            )
     out = cfg["out_dir"]
     cf.write_resolved(cfg, out)
     scenes, samples = _load_dataset(_scene_dirs(args.data))
     _check_views(cfg, scenes)
     model = _build_model_for(cfg, scenes[0].bounds, from_checkpoint=bool(args.resume))
-
-    resume_state = None
-    if args.resume:
-        resume_state = load_checkpoint(args.resume)
-
-    p = cfg["pretrain"]
 
     def snapshot(step, loss, lr, model):
         if p["snapshot_every"] <= 0 or step % p["snapshot_every"] != 0:
@@ -297,7 +303,7 @@ def _split_scenes(dirs, fraction):
 
 def _load_pretrained(cfg, path, bounds):
     model = _build_model_for(cfg, bounds, from_checkpoint=True)
-    state = pt.model_state(load_checkpoint(path))
+    state = load_checkpoint(path, skip=pt.OPT_PREFIX)
     try:
         model.store.load_state_dict(state)
     except ValueError as e:

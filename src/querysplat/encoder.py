@@ -185,10 +185,10 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
     cells counting the zero sentinel, is sampled through a dense (M, h*w + 1)
     interpolation matrix W with four weights per row: the forward is W @ map
     and the map cotangent W.T @ g, two BLAS calls. W then holds no more
-    entries than the (4, M, c) corner array that a larger map gathers and
-    keeps for its VJP, whose map cotangent is one bincount per channel over
-    the 4*M corner cells; so the choice never raises memory. Both give the same values up to
-    summation order.
+    entries than the (4, M, c) corner array that a larger map gathers, once
+    in the forward and once more in the VJP rather than keeping it; its map
+    cotangent is one bincount per channel over the 4*M corner cells. Both
+    give the same values up to summation order.
     """
     h, w, c = level_map.data.shape
     pix = pixels if isinstance(pixels, ad.Tensor) else ad.constant(pixels)
@@ -226,8 +226,7 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
             return np.take_along_axis(g @ padded.T, idx.T, axis=1).T
 
     else:
-        corner = padded[idx]  # (4, M, c)
-        out = np.einsum("amc,am->mc", corner, wt)
+        out = np.einsum("amc,am->mc", padded[idx], wt)
 
         flat_idx = idx.reshape(-1)
 
@@ -242,7 +241,7 @@ def bilinear_sample_batch(level_map, pixels, stride, mask=None):
             )
 
         def corner_grad(g):
-            return np.einsum("amc,mc->am", corner, g)
+            return np.einsum("amc,mc->am", padded[idx], g)
 
     def vjp(g):
         gmap = map_grad(g)

@@ -125,6 +125,10 @@ def filter_by_opacity(gaussians, features, alpha_thresh):
 # add one row of N per distinct coordinate on the axis.
 _KNN_CHUNK = 128
 
+# Query rows per block in neighbor_attention: bounds its gathered neighbour
+# rows at _ATTEND_BLOCK x k x D whatever the number of task queries.
+_ATTEND_BLOCK = 512
+
 
 def knn_neighbors(task_positions, anchor_positions, k):
     """Indices of the k nearest anchors per task position, shape (M, k).
@@ -228,29 +232,40 @@ def neighbor_attention(q, kv, neigh):
 
     Row i attends to kv[neigh[i]] with weights softmax_j(q_i . kv_j / sqrt(D))
     and returns their weighted sum, shape (M, D).  One tape node: the
-    backward is analytic.  Its kv cotangent is built one channel at a time:
-    the channel's M*k products w_ij g_ic + gs_ij q_ic go through one
+    backward is analytic.  The forward and the VJP each gather the
+    neighbour rows _ATTEND_BLOCK query rows at a time, so the (M, k, D)
+    array never exists and the node keeps only the (M, k) weights; each row
+    is computed by the same operations as a whole-array pass, so the bits
+    do not depend on the block.  The kv cotangent is built one channel at a
+    time: the channel's M*k products w_ij g_ic + gs_ij q_ic go through one
     bincount over the neighbour table, which adds them per anchor in the
     same (i, j) order as scattering the (M, k, D) products would, so the
     bits are the same without that array or its per-channel keys.
     """
-    qd = q.data
-    kn = kv.data[neigh]  # (M, k, D)
-    scale = 1.0 / np.sqrt(qd.shape[1])
-    scores = np.einsum("md,mkd->mk", qd, kn) * scale
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    w = e / e.sum(axis=1, keepdims=True)
-    out = np.einsum("mk,mkd->md", w, kn)
+    qd, kvd = q.data, kv.data
+    (m, d), k = qd.shape, neigh.shape[1]
+    scale = 1.0 / np.sqrt(d)
+    blocks = [slice(lo, lo + _ATTEND_BLOCK) for lo in range(0, m, _ATTEND_BLOCK)]
+    w, out = np.empty((m, k)), np.empty((m, d))
+    for rows in blocks:
+        kn = kvd[neigh[rows]]  # (rows, k, D)
+        scores = np.einsum("md,mkd->mk", qd[rows], kn) * scale
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        w[rows] = e / e.sum(axis=1, keepdims=True)
+        out[rows] = np.einsum("mk,mkd->md", w[rows], kn)
 
     def vjp(g):
-        gw = np.einsum("md,mkd->mk", g, kn)
-        gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scale
-        gq = np.einsum("mk,mkd->md", gs, kn)
-        n, k = kv.data.shape[0], neigh.shape[1]
+        gq, gs = np.empty((m, d)), np.empty((m, k))
+        for rows in blocks:
+            kn, wb = kvd[neigh[rows]], w[rows]
+            gw = np.einsum("md,mkd->mk", g[rows], kn)
+            gs[rows] = wb * (gw - (gw * wb).sum(axis=1, keepdims=True)) * scale
+            gq[rows] = np.einsum("mk,mkd->md", gs[rows], kn)
+        n = kvd.shape[0]
         flat, wf, sf = neigh.reshape(-1), w.reshape(-1), gs.reshape(-1)
         # Channel-major copies make each channel's rows contiguous.
         gt, qt = np.ascontiguousarray(g.T), np.ascontiguousarray(qd.T)
-        gkv = np.empty(kv.data.shape)
+        gkv = np.empty(kvd.shape)
         for c in range(gkv.shape[1]):
             row = np.repeat(gt[c], k) * wf
             row += np.repeat(qt[c], k) * sf

@@ -12,6 +12,7 @@ sample is exactly the mirrored scene seen through mirrored cameras.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import encoder as enc
 from . import renderer as rd
-from .checkpoint import save_checkpoint
+from .checkpoint import CheckpointError, save_checkpoint
 from .geometry import Camera
 from .scenes import SceneSample
 
@@ -266,13 +267,18 @@ def pretrain_step(model, sample, opt_state, w, lr):
     return value
 
 
+# Name prefix of a training checkpoint's optimizer records.
+OPT_PREFIX = "opt."
+
+
 def train_state_dict(model, opt):
     """Checkpoint payload: parameters plus optimizer moments and step count.
 
     The arrays are the live ones, not copies, and AdamW updates the moments
     in place, so serialise the payload before the next step. Optimizer
-    entries use the reserved ``opt.`` name prefix, which no model parameter
-    uses, so `model_state` can split them back out.
+    entries use the reserved ``opt.`` name prefix (OPT_PREFIX), which no
+    model parameter uses, so `model_state` can split them back out and a
+    reader can skip them.
     """
     state = {}
     for name, p in model.store.items():
@@ -286,7 +292,24 @@ def train_state_dict(model, opt):
 
 def model_state(state):
     """The parameter part of a checkpoint, with optimizer entries dropped."""
-    return {k: v for k, v in state.items() if not k.startswith("opt.")}
+    return {k: v for k, v in state.items() if not k.startswith(OPT_PREFIX)}
+
+
+def checkpoint_step(state):
+    """The step a training checkpoint was saved after, from its ``opt.step``
+    record: one whole number in [0, 2**63), the int64 range a save writes it
+    back from. Anything else is a CheckpointError naming the record."""
+    if "opt.step" not in state:
+        raise ValueError("checkpoint holds no optimizer state; cannot resume")
+    record = state["opt.step"]
+    if record.shape != ():
+        raise CheckpointError(f"'opt.step' has shape {record.shape}; expected one step count")
+    value = float(record)
+    if not (0.0 <= value < 2.0**63 and value == math.floor(value)):
+        raise CheckpointError(
+            f"'opt.step' is {value!r}; expected a whole number of steps in [0, 2**63)"
+        )
+    return int(value)
 
 
 def load_train_state(model, state):
@@ -295,10 +318,9 @@ def load_train_state(model, state):
     Returns the rebuilt OptimizerState; training can continue from
     step ``opt.step + 1`` as if never interrupted.
     """
-    if "opt.step" not in state:
-        raise ValueError("checkpoint holds no optimizer state; cannot resume")
+    step = checkpoint_step(state)
     model.store.load_state_dict(model_state(state))
-    opt = OptimizerState(step=int(state["opt.step"]))
+    opt = OptimizerState(step=step)
     opt.m = {
         k[len("opt.m:") :]: v.copy() for k, v in state.items()
         if k.startswith("opt.m:")

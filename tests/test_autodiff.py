@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,48 @@ class TestBackwardValues:
         g1 = grad_for(1.0)
         g2 = grad_for(2.0)
         np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12)
+
+
+class TestConsumedGraph:
+    """backward consumes its graph: it frees forward state as it goes, and a
+    second pass through the graph is an error."""
+
+    def test_second_backward_raises(self):
+        x = Tensor(np.array([1.0, -2.0]))
+        loss = ad.reduce_sum(ad.sigmoid(x) * x)
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(ad.AutodiffError, match="consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, first)
+        assert loss.data.shape == ()  # the value outlives its graph
+
+    def test_new_root_over_a_consumed_graph_raises(self):
+        x = Tensor(np.array([0.5, 1.5]))
+        h = ad.exp(x)
+        ad.reduce_sum(h).backward()
+        with pytest.raises(ad.AutodiffError, match="node 'exp'"):
+            ad.reduce_sum(h * 2.0).backward()
+
+    def test_forward_state_is_freed_during_the_pass(self):
+        # The probe sits under exp; by the time its VJP runs, exp and the
+        # sum above it have run theirs and dropped their closures and
+        # parents, so exp's output array is gone.
+        x = Tensor(np.arange(3.0))
+        seen = []
+
+        def probe_vjp(g):
+            seen.append(ref() is None)
+            return (g,)
+
+        probe = ad.custom((x,), x.data.copy(), probe_vjp, name="probe")
+        h = ad.exp(probe)
+        ref = weakref.ref(h.data)
+        loss = ad.reduce_sum(h)
+        del h
+        loss.backward()
+        assert seen == [True]
+        np.testing.assert_array_equal(x.grad, np.exp(np.arange(3.0)))
 
 
 class TestCopiedTensors:

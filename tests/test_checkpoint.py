@@ -178,6 +178,63 @@ class TestMalformed:
             load_checkpoint(str(path))
 
 
+class TestSkipAndFinite:
+    """Records named by a skip prefix are sought past after the same checks;
+    every record returned must be finite."""
+
+    STATE = {"a": np.arange(6.0).reshape(2, 3), "opt.m:a": np.ones((2, 3)),
+             "opt.step": np.array(4.0), "z": np.array([0.5, -0.0])}
+
+    def write(self, tmp_path, state=None):
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(str(path), self.STATE if state is None else state)
+        return path
+
+    @pytest.mark.parametrize("skip", ["opt.", ("opt.m", "opt.step")])
+    def test_skipped_records_are_left_out(self, tmp_path, skip):
+        path = self.write(tmp_path)
+        got = load_checkpoint(str(path), skip=skip)
+        full = load_checkpoint(str(path))
+        assert sorted(got) == ["a", "z"]
+        for name in got:
+            assert got[name].tobytes() == full[name].tobytes()
+
+    def test_forged_size_in_a_skipped_record_is_refused(self, tmp_path):
+        # Records are in sorted order: a, opt.m:a, opt.step, z.
+        path = self.write(tmp_path)
+        data = bytearray(path.read_bytes())
+        rank_at = data.index(b"opt.m:a") + len("opt.m:a")
+        data[rank_at + 4 : rank_at + 12] = struct.pack("<II", 2**31, 2**31)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="data of 'opt.m:a' needs"):
+            load_checkpoint(str(path), skip="opt.")
+
+    def test_truncated_skipped_record_is_refused(self, tmp_path):
+        path = self.write(tmp_path, {"a": np.ones(2), "opt.m:a": np.ones(2)})
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CheckpointError, match="data of 'opt.m:a' needs 16 bytes"):
+            load_checkpoint(str(path), skip="opt.")
+
+    def test_duplicate_skipped_record_is_refused(self, tmp_path):
+        path = self.write(tmp_path, {"opt.m:a": np.ones(2)})
+        record = path.read_bytes()[len(MAGIC):]
+        path.write_bytes(MAGIC + record + record)
+        with pytest.raises(CheckpointError, match="duplicate parameter 'opt.m:a'"):
+            load_checkpoint(str(path), skip="opt.")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_record_is_named(self, tmp_path, bad):
+        state = dict(self.STATE, z=np.array([0.5, bad]))
+        path = self.write(tmp_path, state)
+        with pytest.raises(CheckpointError, match="non-finite value in 'z'"):
+            load_checkpoint(str(path))
+
+    def test_non_finite_skipped_record_is_not_read(self, tmp_path):
+        state = dict(self.STATE, **{"opt.m:a": np.full((2, 3), np.nan)})
+        path = self.write(tmp_path, state)
+        assert sorted(load_checkpoint(str(path), skip="opt.")) == ["a", "z"]
+
+
 class TestAtomicWrite:
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

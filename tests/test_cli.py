@@ -7,6 +7,7 @@ while keeping the suite fast.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -410,6 +411,75 @@ class TestPretrain:
         losses = [float(line.split(",")[1]) for line in lines]
         assert len(losses) == 100
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
+
+
+def one_error_line(capsys, *needles):
+    """The command's stderr is one line holding every needle."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    for needle in needles:
+        assert needle in lines[0]
+    return lines[0]
+
+
+class TestFinishedAndForgedCheckpoints:
+    """Resuming at or past a run's end, and checkpoint records that no
+    run writes, end in one line."""
+
+    def test_resume_at_the_last_step_changes_nothing(self, ws, dataset, pretrained,
+                                                     tmp_path, capsys):
+        _, cfg = ws
+        out = tmp_path / "done"
+        shutil.copytree(pretrained, out)
+
+        def stamped():
+            return {p: (b, os.stat(out / p).st_mtime_ns) for p, b in tree_bytes(out).items()}
+
+        before = stamped()
+        assert run("pretrain", "--config", cfg, "--data", dataset, "--out-dir", out,
+                   "--resume", out / "model.ckpt") == 0
+        assert "nothing left to run" in capsys.readouterr().out
+        assert stamped() == before
+
+    def test_resume_past_the_last_step_names_both(self, ws, dataset, pretrained,
+                                                  tmp_path, capsys):
+        _, cfg = ws
+        out = tmp_path / "past"
+        assert run("pretrain", "--config", cfg, "--data", dataset, "--out-dir", out,
+                   "--resume", os.path.join(pretrained, "model.ckpt"),
+                   "--steps", 4) == 1
+        one_error_line(capsys, "step 6", "last step 4")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", [2.5, 1e300, float("nan"), -5.0])
+    def test_forged_step_is_refused(self, ws, dataset, pretrained, tmp_path, capsys,
+                                    step):
+        _, cfg = ws
+        state = load_checkpoint(os.path.join(pretrained, "checkpoints", "step000003.ckpt"))
+        state["opt.step"] = np.array(step)
+        forged = tmp_path / "forged.ckpt"
+        save_checkpoint(str(forged), state)
+        assert run("pretrain", "--config", cfg, "--data", dataset,
+                   "--out-dir", tmp_path / "out", "--resume", forged) == 1
+        one_error_line(capsys, "'opt.step'")
+
+    @pytest.mark.parametrize("command", ["render", "finetune", "eval"])
+    def test_nan_parameter_is_refused(self, ws, dataset, pretrained, finetuned,
+                                      tmp_path, capsys, command):
+        _, cfg = ws
+        state = load_checkpoint(os.path.join(pretrained, "model.ckpt"))
+        state["queries.anchors"][0, 0] = np.nan
+        forged = tmp_path / "nan.ckpt"
+        save_checkpoint(str(forged), state)
+        args = {
+            "render": ["--checkpoint", forged, "--scene", os.path.join(dataset, "scenes", "0000")],
+            "finetune": ["--data", dataset, "--pretrained", forged],
+            "eval": ["--data", dataset, "--pretrained", forged,
+                     "--task", os.path.join(finetuned, "task.ckpt")],
+        }[command]
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out-dir", out, *args) == 1
+        one_error_line(capsys, "non-finite value in 'queries.anchors'")
 
 
 class TestRender:

@@ -346,29 +346,50 @@ class TestNeighborAttention:
         np.testing.assert_array_equal(out.data, self.kv[neigh[:, 0]])
 
 
-def kv_cotangent_oracle(qd, kvd, neigh, g):
-    """The kv cotangent as the (M, k, D) products scattered by ad._index_add:
-    neighbor_attention's must equal it bit for bit."""
+def unblocked_neighbor_attention(qd, kvd, neigh, g):
+    """neighbor_attention over the whole (M, k, D) neighbour array at once:
+    (out, q cotangent, kv cotangent), the formula the blocked node must
+    match bit for bit."""
     kn = kvd[neigh]
     scale = 1.0 / np.sqrt(qd.shape[1])
     scores = np.einsum("md,mkd->mk", qd, kn) * scale
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     w = e / e.sum(axis=1, keepdims=True)
+    out = np.einsum("mk,mkd->md", w, kn)
     gw = np.einsum("md,mkd->mk", g, kn)
     gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * scale
+    gq = np.einsum("mk,mkd->md", gs, kn)
     gkn = w[:, :, None] * g[:, None, :] + gs[:, :, None] * qd[:, None, :]
-    return ad._index_add(kvd.shape, neigh, gkn)
+    return out, gq, ad._index_add(kvd.shape, neigh, gkn)
+
+
+class TestBlockedAttentionBits:
+    """neighbor_attention's row blocks change no bit of its value or VJP."""
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks, n, k, d", [(1, 300, 8, 64), (3, 50, 5, 7)])
+    def test_matches_the_unblocked_formula(self, blocks, n, k, d, extra):
+        m = blocks * ft._ATTEND_BLOCK + extra
+        rng = np.random.default_rng(m + d)
+        qd, kvd, g = rng.normal(size=(m, d)), rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        neigh = rng.integers(0, n, size=(m, k))
+        node = ft.neighbor_attention(ad.constant(qd), ad.constant(kvd), neigh)
+        gq, gkv = node._vjp(g)
+        want = unblocked_neighbor_attention(qd, kvd, neigh, g)
+        for got, expected in zip((node.data, gq, gkv), want):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestKvCotangentBits:
-    """neighbor_attention's channel-major kv cotangent against the scatter."""
+    """neighbor_attention's channel-major kv cotangent against the scatter
+    of the (M, k, D) products by ad._index_add."""
 
     def check(self, m, n, d, neigh, seed=0):
         rng = np.random.default_rng(seed)
         qd, kvd, g = rng.normal(size=(m, d)), rng.normal(size=(n, d)), rng.normal(size=(m, d))
         out = ft.neighbor_attention(ad.constant(qd), ad.constant(kvd), neigh)
         _, gkv = out._vjp(g)
-        want = kv_cotangent_oracle(qd, kvd, neigh, g)
+        want = unblocked_neighbor_attention(qd, kvd, neigh, g)[2]
         assert gkv.shape == want.shape
         np.testing.assert_array_equal(gkv, want)
         return gkv

@@ -3,9 +3,11 @@ and the optimization loop."""
 
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_acceptance import OVERFIT_SPEC
 from test_geometry import quaternion_to_rotation, rotation_to_quaternion
 
 from querysplat import autodiff as ad
@@ -497,3 +499,33 @@ class TestRunPretraining:
         _, plain, _, _ = self.run(tmp_path, "p", seed=5)
         _, flipped, _, _ = self.run(tmp_path, "f", seed=5, hflip_prob=1.0)
         assert plain != flipped
+
+
+# One criterion-7 step's forward-plus-backward peak as one_step_peak_bytes
+# measures it, at the commit before backward consumed its graph and before
+# the largest gathers were remade in their VJPs (NumPy 2.4, Linux x86-64).
+# Most of it is the tape: each node's value and what its VJP keeps.
+TAPE_PEAK_BEFORE = 101.1e6
+
+
+def one_step_peak_bytes():
+    """Peak traced bytes of one forward and backward of criterion 7's model
+    (512 queries, 2 layers, 4 views at 64x64), after a warm-up forward has
+    filled the per-size index caches."""
+    scene = sc.generate_scene(OVERFIT_SPEC, seed=0)
+    sample = sc.bake_ground_truth(scene)
+    model = pt.build_model(scene.bounds, dec.DecoderConfig(n_views=4, K=512, n_layers=2), seed=0)
+    w = pt.LossWeights()
+    pt.forward(model, sample, w)
+    tracemalloc.start()
+    try:
+        loss, _, _ = pt.forward(model, sample, w)
+        loss.backward()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_step_peak_memory():
+    peak = one_step_peak_bytes()
+    assert peak <= 0.75 * TAPE_PEAK_BEFORE, f"peak {peak / 1e6:.1f} MB"
