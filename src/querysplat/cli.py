@@ -516,6 +516,7 @@ def _gradcheck_interaction(seed, fault):
     anchors[:, col("opacity")] = rng.uniform(0.1, 1.0, size=(6, 1))
     feats = rng.normal(size=(6, 8))
     gt = rng.integers(0, 2, size=8)
+    neigh = ft.knn_neighbors(task.positions, anchors[:, col("pos")], cfg.k)
 
     results = {}
     for name in task.store.names():
@@ -523,11 +524,11 @@ def _gradcheck_interaction(seed, fault):
             if fault:
                 t = _fault_wrap(t)
             with task.store.substitute(name, t):
-                tq = ft.TaskQuerySet(
-                    positions=task.positions, features=task.store["task.queries"]
+                features = ft.local_query_interaction(
+                    task.positions, task.store["task.queries"], anchors, feats,
+                    task.store, neigh,
                 )
-                tq = ft.local_query_interaction(tq, anchors, feats, cfg, task.store)
-                logits = ft.occupancy_head(tq, task.grid, task.store)
+                logits = ft.occupancy_head(features, task.grid, task.store)
                 return ad.cross_entropy(logits, gt)
 
         results[f"interaction.{name}"] = ad.finite_difference_check(
@@ -582,18 +583,13 @@ def main(argv=None):
         return 1
     try:
         return COMMANDS[args.command](cfg, args)
-    except (UsageError, cf.ConfigError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (OSError, sc.SceneFormatError, CheckpointError) as e:
+    except (UsageError, OSError, CheckpointError, ValueError) as e:
+        # ConfigError and scenes.SceneFormatError are ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (pt.PretrainDivergedError, ad.NondeterministicError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

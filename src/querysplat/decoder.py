@@ -43,13 +43,12 @@ class DecoderConfig:
     n_offsets: int = 4
     n_heads: int = 4
     n_views: int = 4
-    n_levels: int = len(enc.STRIDES)  # the encoder builds one level per stride
     voxel_size: float | None = None  # None -> bounds extent / 32
     K: int = 512
     feature_dim: int = 64
 
     def __post_init__(self):
-        for field in ("n_offsets", "n_heads", "n_views", "n_levels", "K", "feature_dim"):
+        for field in ("n_offsets", "n_heads", "n_views", "K", "feature_dim"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be positive")
         if self.n_layers < 0:
@@ -166,11 +165,11 @@ def _init_mlp2(store, rng, prefix, d_in, d_hidden, d_out, final_bias=None):
     store.param(f"{prefix}.b2", bias.copy())
 
 
-def init_decoder_params(store, rng, cfg, prefix="decoder"):
+def init_decoder_params(store, rng, cfg):
     D = cfg.feature_dim
-    S = cfg.n_views * cfg.n_levels * cfg.n_offsets
+    S = cfg.n_views * len(enc.STRIDES) * cfg.n_offsets
     for i in range(cfg.n_layers):
-        lp = f"{prefix}.layer{i}"
+        lp = f"decoder.layer{i}"
         store.param(
             f"{lp}.voxconv.w",
             rng.normal(size=(27 * D, D)) * np.sqrt(2.0 / (27 * D)),
@@ -192,7 +191,7 @@ def init_decoder_params(store, rng, cfg, prefix="decoder"):
                 store, rng, f"{lp}.head_{group}", D, D, width,
                 final_bias=_HEAD_BIASES[group],
             )
-    _init_mlp2(store, rng, f"{prefix}.head.color", D, D, 3)
+    _init_mlp2(store, rng, "decoder.head.color", D, D, 3)
 
 
 _VOXEL_OFFSETS = list(itertools.product((-1, 0, 1), repeat=3))
@@ -341,13 +340,13 @@ def _sample_and_mix(refs, pyramid, cameras, weights):
     O = S // B
     D = maps[0].data.shape[2]
     dh = D // H
-    L = len(pyramid.strides)
+    L = len(enc.STRIDES)
     value = np.empty((K, B, O * D))
     projections, samplers = [], []
     for vi, cam in enumerate(cameras):
         pixels, in_front, project_vjp = _project(refs.data, cam)
         projections.append(project_vjp)
-        for li, stride in enumerate(pyramid.strides):
+        for li, stride in enumerate(enc.STRIDES):
             block = enc.bilinear_sample_batch(
                 maps[vi * L + li], pixels, stride, mask=in_front
             )
@@ -385,10 +384,6 @@ def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
         raise ValueError("deformable attention needs at least one view")
     if len(cameras) != cfg.n_views:
         raise ValueError(f"expected {cfg.n_views} views, got {len(cameras)}")
-    if len(pyramid.levels) != cfg.n_levels:
-        raise ValueError(
-            f"expected {cfg.n_levels} pyramid levels, got {len(pyramid.levels)}"
-        )
     K, D = qs.features.data.shape
     O, H = cfg.n_offsets, cfg.n_heads
     voxel_size = cfg.resolve_voxel_size(qs.bounds)
@@ -405,7 +400,7 @@ def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
     refs = ad.add(mu_rep, off_flat)
 
     # Samples s run over (view, level, offset).
-    S = cfg.n_views * cfg.n_levels * O
+    S = cfg.n_views * len(enc.STRIDES) * O
     logits = ad.linear(
         qs.features, store[f"{prefix}.attn.logit.w"], store[f"{prefix}.attn.logit.b"]
     )
@@ -432,7 +427,7 @@ def _normalize_quats(raw_quat):
     return quat, int(K - good.sum())
 
 
-def gaussian_head(qs, store, prefix="decoder"):
+def gaussian_head(qs, store):
     """Activate anchor raws into valid Gaussian parameters; color from a
     2-layer MLP on the query features."""
     bounds = qs.bounds
@@ -446,7 +441,7 @@ def gaussian_head(qs, store, prefix="decoder"):
     quat, degenerate = _normalize_quats(raw_quat)
     raw_op = ad.narrow(qs.anchors, 1, *ANCHOR_COLUMNS["opacity"])
     opacity = ad.reshape(ad.sigmoid(raw_op), (qs.anchors.data.shape[0],))
-    color = ad.sigmoid(_mlp2(store, f"{prefix}.head.color", qs.features))
+    color = ad.sigmoid(_mlp2(store, "decoder.head.color", qs.features))
     return DecodedGaussians(
         mu=mu, scale=scale, quat=quat, opacity=opacity, color=color,
         degenerate_quats=degenerate,
@@ -475,7 +470,7 @@ def refine_layer(qs, pyramid, cameras, cfg, store, layer_prefix):
     return GaussianQuerySet(anchors=anchors, features=features, bounds=qs.bounds)
 
 
-def decode(qs, pyramid, cameras, cfg, store, prefix="decoder"):
+def decode(qs, pyramid, cameras, cfg, store):
     """Run cfg.n_layers refine layers then the head.
 
     Features are reset to exactly zero before the first layer; the incoming
@@ -487,7 +482,5 @@ def decode(qs, pyramid, cameras, cfg, store, prefix="decoder"):
         bounds=qs.bounds,
     )
     for i in range(cfg.n_layers):
-        working = refine_layer(
-            working, pyramid, cameras, cfg, store, f"{prefix}.layer{i}"
-        )
-    return gaussian_head(working, store, prefix), working
+        working = refine_layer(working, pyramid, cameras, cfg, store, f"decoder.layer{i}")
+    return gaussian_head(working, store), working

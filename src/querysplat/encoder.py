@@ -32,14 +32,11 @@ D_F = 32  # pyramid feature width
 class FeaturePyramid:
     """Per-view feature maps at strides 4, 8, 16, 32 (each (h, w, D_f))."""
 
-    levels: list  # levels[l][view] -> Tensor (h_l, w_l, D_F)
-    strides: tuple = STRIDES
+    levels: list  # levels[l][view] -> Tensor (h_l, w_l, D_F), stride STRIDES[l]
 
     def __post_init__(self):
-        if len(self.levels) != len(self.strides):
-            raise ValueError(
-                f"expected {len(self.strides)} levels, got {len(self.levels)}"
-            )
+        if len(self.levels) != len(STRIDES):
+            raise ValueError(f"expected {len(STRIDES)} levels, got {len(self.levels)}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -115,16 +112,16 @@ def _stage(x, store, name):
     return ad.relu(ad.layer_norm(out))
 
 
-def init_encoder_params(store, rng, prefix="encoder"):
+def init_encoder_params(store, rng):
     """Create all encoder parameters in `store` (He-normal weights)."""
 
     def conv_param(name, c_in, c_out, taps=9):
         fan_in = taps * c_in
         store.param(
-            f"{prefix}.{name}.w",
+            f"encoder.{name}.w",
             rng.normal(size=(fan_in, c_out)) * np.sqrt(2.0 / fan_in),
         )
-        store.param(f"{prefix}.{name}.b", np.zeros(c_out))
+        store.param(f"encoder.{name}.b", np.zeros(c_out))
 
     conv_param("stem", 3, STEM_WIDTH)
     c_in = STEM_WIDTH
@@ -136,7 +133,7 @@ def init_encoder_params(store, rng, prefix="encoder"):
         conv_param(f"smooth{i}", D_F, D_F)
 
 
-def encode_view(store, image, prefix="encoder"):
+def encode_view(store, image):
     """Encode one (H, W, 3) view into four (h, w, D_F) levels."""
     x = image if isinstance(image, ad.Tensor) else ad.constant(image)
     h, w = x.data.shape[:2]
@@ -144,12 +141,12 @@ def encode_view(store, image, prefix="encoder"):
         raise ValueError(f"image size {(h, w)} not divisible by 32")
 
     def p(name):
-        return store[f"{prefix}.{name}"]
+        return store[f"encoder.{name}"]
 
     x = ad.relu(ad.layer_norm(conv2d(x, p("stem.w"), p("stem.b"), stride=2)))
     taps = []
     for i in range(len(STAGE_WIDTHS)):
-        x = _stage(x, store, f"{prefix}.stage{i}")
+        x = _stage(x, store, f"encoder.stage{i}")
         taps.append(x)
 
     laterals = [
@@ -165,9 +162,9 @@ def encode_view(store, image, prefix="encoder"):
     ]
 
 
-def encode(store, images, prefix="encoder"):
+def encode(store, images):
     """Encode N views (list of (H, W, 3) arrays/Tensors) into a FeaturePyramid."""
-    per_view = [encode_view(store, img, prefix) for img in images]
+    per_view = [encode_view(store, img) for img in images]
     levels = [[pv[l] for pv in per_view] for l in range(len(STRIDES))]
     return FeaturePyramid(levels=levels)
 

@@ -30,31 +30,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass
-class TaskQuerySet:
-    """Per-voxel task queries: fixed positions plus learnable features."""
-
-    positions: np.ndarray  # (M, 3) world meters
-    features: ad.Tensor  # (M, D_t)
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=np.float64)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError(
-                f"positions must be (M, 3), got {self.positions.shape}"
-            )
-        if not isinstance(self.features, ad.Tensor):
-            self.features = ad.constant(np.asarray(self.features, dtype=np.float64))
-        if (
-            self.features.data.ndim != 2
-            or self.features.data.shape[0] != self.positions.shape[0]
-        ):
-            raise ValueError(
-                f"features {self.features.data.shape} do not match "
-                f"{self.positions.shape[0]} positions"
-            )
-
-
-@dataclass
 class InteractionConfig:
     """Knobs for the anchor-to-task-query attention block."""
 
@@ -190,16 +165,17 @@ def _k_smallest(d2, k):
     return idx
 
 
-def local_query_interaction(tq, anchors, anchor_features, cfg, store, neighbors=None):
-    """Update task queries from their k nearest anchors (one attention head).
+def local_query_interaction(positions, features, anchors, anchor_features, store, neighbors):
+    """Update the (M, D_t) task-query features from their nearest anchors
+    (one attention head); returns the updated features.
 
-    Query side is q_t + MLP(mu_t); key/value side is adapter(q_k) + MLP(g_k)
-    with g_k the full decoded anchor row.  The attended value is projected
-    and added residually to q_t.  Anchors and their features enter as
-    constants, so gradients reach only the block's own parameters and the
-    task queries.  With zero anchors the input is returned unchanged.
-    neighbors, if given, is the (M, k) table knn_neighbors returns for these
-    positions and anchors, which is then not looked up again.
+    Query side is q_t + MLP(mu_t) with mu_t the (M, 3) positions; key/value
+    side is adapter(q_k) + MLP(g_k) with g_k the full decoded anchor row.
+    neighbors is the (M, k) table knn_neighbors returns for these positions
+    and anchors.  The attended value is projected and added residually to
+    q_t.  Anchors and their features enter as constants, so gradients reach
+    only the block's own parameters and the task queries.  With zero anchors
+    the features are returned unchanged.
     """
     anchors = np.asarray(anchors, dtype=np.float64)
     anchor_features = np.asarray(anchor_features, dtype=np.float64)
@@ -208,23 +184,20 @@ def local_query_interaction(tq, anchors, anchor_features, cfg, store, neighbors=
             "no anchors passed the opacity filter; "
             "query interaction is an identity pass-through"
         )
-        return tq
+        return features
     adapter = store["task.interact.adapter.w"]
     if anchor_features.shape[1] != adapter.data.shape[0]:
         raise ValueError(
             f"anchor feature dim {anchor_features.shape[1]} does not match "
             f"the interaction adapter input dim {adapter.data.shape[0]}"
         )
-    if neighbors is None:
-        mu = anchors[:, dec.anchor_slice("pos")]
-        neighbors = knn_neighbors(tq.positions, mu, cfg.k)
-    q = tq.features + _mlp2(store, "task.interact.pos", ad.constant(tq.positions))
+    q = features + _mlp2(store, "task.interact.pos", ad.constant(positions))
     kv = ad.matmul(ad.constant(anchor_features), adapter) + _mlp2(
         store, "task.interact.gk", ad.constant(anchors)
     )
     attended = neighbor_attention(q, kv, neighbors)
     update = ad.matmul(attended, store["task.interact.out.w"])
-    return TaskQuerySet(positions=tq.positions, features=tq.features + update)
+    return features + update
 
 
 def neighbor_attention(q, kv, neigh):
@@ -275,16 +248,16 @@ def neighbor_attention(q, kv, neigh):
     return ad.custom((q, kv), out, vjp, name="neighbor_attention")
 
 
-def occupancy_head(tq, grid_shape, store):
-    """Map each task query to {empty, occupied} logits, shape (G^3, 2).
+def occupancy_head(features, grid_shape, store):
+    """Map each task query's features to {empty, occupied} logits, shape (G^3, 2).
 
     Row order matches the C-order flattening of the (G, G, G) voxel grid.
     """
     g = int(grid_shape)
-    m = tq.features.data.shape[0]
+    m = features.data.shape[0]
     if m != g**3:
         raise ValueError(f"expected {g**3} queries for a {g}^3 grid, got {m}")
-    return _mlp2(store, "task.head", tq.features)
+    return _mlp2(store, "task.head", features)
 
 
 def voxel_centers(bounds, grid):
@@ -347,7 +320,6 @@ class TaskModel:
     positions: np.ndarray  # (G^3, 3) voxel centers
     cfg: InteractionConfig
     grid: int
-    bounds: np.ndarray = field(default=None)
 
 
 def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
@@ -379,7 +351,7 @@ def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
     )
     store.param("task.interact.out.w", np.zeros((d_task, d_task)))
     _init_mlp2(store, rng, "task.head", d_task, cfg.pe_hidden, 2)
-    return TaskModel(store=store, positions=positions, cfg=cfg, grid=g, bounds=bounds)
+    return TaskModel(store=store, positions=positions, cfg=cfg, grid=g)
 
 
 def _interaction_inputs(task, frozen):
@@ -405,18 +377,21 @@ def _interaction_inputs(task, frozen):
 
 def _task_logits(task, frozen, use_interaction):
     """Forward pass from stored task queries to per-voxel logits."""
-    tq = TaskQuerySet(positions=task.positions, features=task.store["task.queries"])
+    features = task.store["task.queries"]
     if use_interaction:
         anchors, feats, neigh = _interaction_inputs(task, frozen)
-        tq = local_query_interaction(tq, anchors, feats, task.cfg, task.store, neigh)
-    return occupancy_head(tq, task.grid, task.store)
+        features = local_query_interaction(
+            task.positions, features, anchors, feats, task.store, neigh
+        )
+    return occupancy_head(features, task.grid, task.store)
 
 
 def finetune_step(task, frozen, gt_grid, opt_state, lr, use_interaction=True):
     """One cross-entropy step on the task parameters; returns the loss.
 
     The frozen inference enters as constants, so only the task store is
-    touched by the update.
+    touched by the update. A non-finite loss or gradient raises
+    pt.PretrainDivergedError before any parameter moves.
     """
     gt = np.asarray(gt_grid)
     if gt.shape != (task.grid,) * 3:
@@ -426,9 +401,18 @@ def finetune_step(task, frozen, gt_grid, opt_state, lr, use_interaction=True):
     task.store.zero_grad()
     logits = _task_logits(task, frozen, use_interaction)
     loss = ad.cross_entropy(logits, gt.reshape(-1).astype(np.int64))
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise pt.PretrainDivergedError("non-finite loss", {"lr": lr, "loss": value})
     loss.backward()
+    bad = [  # items() runs in name order
+        n for n, p in task.store.items()
+        if p.grad is not None and not np.isfinite(p.grad).all()
+    ]
+    if bad:
+        raise pt.PretrainDivergedError("non-finite gradients", {"lr": lr, "params": bad})
     pt.adamw_step(task.store, opt_state, lr)
-    return float(loss.data)
+    return value
 
 
 def predict_occupancy(task, frozen, use_interaction=True):

@@ -80,9 +80,9 @@ class RenderConfig:
 DEFAULT_CONFIG = RenderConfig()
 
 
-def check_config(base: RenderConfig = DEFAULT_CONFIG) -> RenderConfig:
+def check_config() -> RenderConfig:
     """The gradcheck configuration: drop floor and early stop disabled."""
-    return replace(base, contribution_floor=0.0, early_stop_transmittance=0.0)
+    return replace(DEFAULT_CONFIG, contribution_floor=0.0, early_stop_transmittance=0.0)
 
 
 @dataclass
@@ -111,9 +111,7 @@ class RenderCache:
         """Per-tile index arrays into prep's sorted order (config.tile_size
         bins), built on first use; the renderer itself works on pixels."""
         if self._tiles is None:
-            self._tiles = _build_tiles(
-                self.prep, self.width, self.height, self.config.tile_size
-            )
+            self._tiles = _build_tiles(self)
         return self._tiles
 
 
@@ -157,16 +155,6 @@ def _prepare(arrays, camera: Camera, config: RenderConfig):
     sel = idx[order]
 
     ia, ib, ic = _invert_cov2d(P["cov2d"][sel])
-    cov2d = P["cov2d"][sel]
-    lam_max = 0.5 * (cov2d[:, 0, 0] + cov2d[:, 1, 1]) + np.sqrt(
-        (0.5 * (cov2d[:, 0, 0] - cov2d[:, 1, 1])) ** 2 + cov2d[:, 0, 1] ** 2
-    )
-    # Conservative pixel-space footprint: outside this radius q > qcut holds,
-    # so skipped pixels would contribute exactly zero. The 3-sigma lower
-    # bound (q >= 9) keeps every Gaussian in all tiles its 3-sigma ellipse
-    # can touch.
-    radius = np.sqrt(np.maximum(qcut[sel], 9.0) * lam_max)
-
     prep = {
         "sel": sel,  # original Gaussian index per sorted slot
         "mx": P["mean2d"][sel, 0],
@@ -178,17 +166,27 @@ def _prepare(arrays, camera: Camera, config: RenderConfig):
         "color": np.asarray(arrays["color"], dtype=np.float64)[sel],
         "dist": P["cam_distance"][sel],
         "qcut": qcut[sel],
-        "radius": radius,
     }
     return P, prep
 
 
-def _build_tiles(prep, width: int, height: int, tile_size: int) -> list[np.ndarray]:
+def _build_tiles(cache: RenderCache) -> list[np.ndarray]:
     """Per-tile arrays of sorted-slot indices whose footprints reach the tile."""
+    prep, width, height = cache.prep, cache.width, cache.height
+    tile_size = cache.config.tile_size
+    cov2d = cache.P["cov2d"][prep["sel"]]
+    lam_max = 0.5 * (cov2d[:, 0, 0] + cov2d[:, 1, 1]) + np.sqrt(
+        (0.5 * (cov2d[:, 0, 0] - cov2d[:, 1, 1])) ** 2 + cov2d[:, 0, 1] ** 2
+    )
+    # Conservative pixel-space footprint: outside this radius q > qcut holds,
+    # so skipped pixels would contribute exactly zero. The 3-sigma lower
+    # bound (q >= 9) keeps every Gaussian in all tiles its 3-sigma ellipse
+    # can touch.
+    r = np.sqrt(np.maximum(prep["qcut"], 9.0) * lam_max)
     ntx = -(-width // tile_size)
     nty = -(-height // tile_size)
     lists: list[list[int]] = [[] for _ in range(ntx * nty)]
-    mx, my, r = prep["mx"], prep["my"], prep["radius"]
+    mx, my = prep["mx"], prep["my"]
     tx0 = np.floor((mx - r) / tile_size).astype(np.int64)
     tx1 = np.floor((mx + r) / tile_size).astype(np.int64)
     ty0 = np.floor((my - r) / tile_size).astype(np.int64)
@@ -442,8 +440,8 @@ def _composite_block(px, py, prep, slots, config, want_internals=False):
     return out
 
 
-def _validate_size(camera: Camera, image_size) -> tuple[int, int]:
-    width, height = image_size if image_size is not None else camera.image_size
+def _validate_size(camera: Camera) -> tuple[int, int]:
+    width, height = camera.image_size
     if width <= 0 or height <= 0:
         raise ValueError(f"image size must be positive, got {(width, height)}")
     return int(width), int(height)
@@ -453,10 +451,9 @@ def render_reference(
     gaussians,
     camera: Camera,
     config: RenderConfig = DEFAULT_CONFIG,
-    image_size=None,
 ) -> RenderOutput:
     """Brute-force oracle: every Gaussian at every pixel, no tiling."""
-    width, height = _validate_size(camera, image_size)
+    width, height = _validate_size(camera)
     _, prep = _prepare(gaussians, camera, config)
     slots = np.arange(prep["mx"].shape[0], dtype=np.int64)
 
@@ -479,11 +476,10 @@ def render_forward(
     gaussians,
     camera: Camera,
     config: RenderConfig = DEFAULT_CONFIG,
-    image_size=None,
 ) -> tuple[RenderOutput, RenderCache]:
     """Footprint-pair forward pass; the returned cache, which keeps the
     per-pair compositing intermediates, enables render_backward."""
-    width, height = _validate_size(camera, image_size)
+    width, height = _validate_size(camera)
     P, prep = _prepare(gaussians, camera, config)
     rgb, depth, alpha_acc, state = _composite_pairs(prep, width, height, config)
     out = RenderOutput(
@@ -498,12 +494,11 @@ def render(
     gaussians,
     camera: Camera,
     config: RenderConfig = DEFAULT_CONFIG,
-    image_size=None,
 ) -> RenderOutput:
     """Footprint-pair rendering, as used by the ground-truth bake and
     inference; agrees with the render_reference oracle to rounding, and
     makes the same drop and early-stop decisions."""
-    out, _ = render_forward(gaussians, camera, config, image_size)
+    out, _ = render_forward(gaussians, camera, config)
     return out
 
 
@@ -669,7 +664,6 @@ def render_node(
     color: ad.Tensor,
     camera: Camera,
     config: RenderConfig = DEFAULT_CONFIG,
-    image_size=None,
 ) -> tuple[ad.Tensor, RenderOutput]:
     """Differentiable rendering as one engine node with value (H, W, 4).
 
@@ -683,7 +677,7 @@ def render_node(
         "opacity": opacity.data,
         "color": color.data,
     }
-    out, cache = render_forward(arrays, camera, config, image_size)
+    out, cache = render_forward(arrays, camera, config)
     value = np.concatenate([out.rgb, out.depth[..., None]], axis=2)
 
     def vjp(g):

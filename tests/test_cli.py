@@ -5,15 +5,21 @@ classes below so that each command is exercised against real artifacts
 while keeping the suite fast.
 """
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import querysplat.finetune as ft
 import querysplat.pretrain as pt
@@ -482,6 +488,69 @@ class TestFinishedAndForgedCheckpoints:
         one_error_line(capsys, "non-finite value in 'queries.anchors'")
 
 
+# What a forged training checkpoint holds in place of a value: a non-finite
+# entry in any record, or an opt.step that no run writes.
+NON_FINITE = [np.nan, np.inf, -np.inf]
+FORGED_STEPS = [2.5, 1e300, np.nan, np.inf, -5.0, 2.0**63]
+
+
+def finite_outputs(command, out):
+    """Whether a command that exited 0 left only finite numbers behind."""
+    if command == "render":
+        return all(
+            np.isfinite(read_pfm(str(out / "render" / name))).all()
+            for name in os.listdir(out / "render") if name.endswith(".pfm")
+        )
+    csv_name, ckpt = {
+        "finetune": ("metrics.csv", "task.ckpt"),
+        "eval": ("eval.csv", None),
+        "pretrain": ("loss.csv", "model.ckpt"),
+    }[command]
+    if ckpt is not None:
+        load_checkpoint(str(out / ckpt))  # refuses a non-finite record
+    rows = read_csv_lines(str(out / csv_name))[1:]
+    return all(np.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_hostile_checkpoint_contents_end_in_one_line(ws, dataset, pretrained, finetuned,
+                                                     data):
+    """NaN, infinities and forged steps in a training checkpoint: every
+    command exits 0 with finite outputs, or 1 or 2 with one line."""
+    _, cfg = ws
+    state = load_checkpoint(os.path.join(pretrained, "checkpoints", "step000003.ckpt"))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        if data.draw(st.booleans(), label="forge opt.step"):
+            state["opt.step"] = np.array(data.draw(st.sampled_from(FORGED_STEPS)))
+            continue
+        name = data.draw(st.sampled_from(sorted(state)), label="record")
+        flat = state[name].reshape(-1)
+        flat[data.draw(st.integers(0, flat.size - 1), label="entry")] = data.draw(
+            st.sampled_from(NON_FINITE), label="value"
+        )
+    command = data.draw(st.sampled_from(["render", "finetune", "eval", "pretrain"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        forged, out = os.path.join(tmp, "forged.ckpt"), pathlib.Path(tmp) / "out"
+        save_checkpoint(forged, state)
+        args = {
+            "render": ["--checkpoint", forged, "--scene", os.path.join(dataset, "scenes", "0000")],
+            "finetune": ["--data", dataset, "--pretrained", forged],
+            "eval": ["--data", dataset, "--pretrained", forged,
+                     "--task", os.path.join(finetuned, "task.ckpt")],
+            "pretrain": ["--data", dataset, "--resume", forged],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, "--config", cfg, "--out-dir", out, *args)
+        if code == 0:
+            assert finite_outputs(command, out)
+        else:
+            lines = err.getvalue().strip().splitlines()
+            assert code in (1, 2) and len(lines) == 1, (code, lines)
+            assert lines[0].startswith(("error: ", "numeric failure: "))
+
+
 class TestRender:
     def test_file_count_and_rerun_identical(self, ws, dataset, pretrained,
                                             tmp_path, capsys):
@@ -596,6 +665,17 @@ class TestFinetune:
         lines = read_csv_lines(str(out / "metrics.csv"))
         assert len(lines) == 5
         assert all(np.isfinite(float(line.split(",")[1])) for line in lines[1:])
+
+    def test_diverging_run_exits_2_without_a_checkpoint(self, ws, dataset, pretrained,
+                                                         tmp_path, capsys):
+        hot = tmp_path / "hot.json"
+        hot.write_text(json.dumps(dict(TINY, finetune=dict(TINY["finetune"], lr=1e300))))
+        out = tmp_path / "hot"
+        code = run("finetune", "--config", hot, "--data", dataset,
+                   "--pretrained", os.path.join(pretrained, "model.ckpt"), "--out-dir", out)
+        assert code == 2
+        one_error_line(capsys, "numeric failure: ", "non-finite loss")
+        assert not (out / "task.ckpt").exists()
 
     def test_rerun_is_byte_identical(self, ws, dataset, pretrained, finetuned,
                                      tmp_path):

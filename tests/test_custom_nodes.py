@@ -108,14 +108,14 @@ def composed_mix(sampled, weights):
     return ad.reduce_sum(ad.mul(value_hm, ad.reshape(weights, (K, H, S, 1))), axis=2)
 
 
-def composed_attention(refs, maps, weights, strides, cameras):
+def composed_attention(refs, maps, weights, cameras):
     """The deformable attention body as it was composed before its fusion:
     per view a projection, per (view, level) a bilinear node, then mixing."""
     sampled = []
     for vi, cam in enumerate(cameras):
         pixels, in_front = composed_projection(refs, cam)
-        for li, stride in enumerate(strides):
-            level = maps[vi * len(strides) + li]
+        for li, stride in enumerate(enc.STRIDES):
+            level = maps[vi * len(enc.STRIDES) + li]
             sampled.append(enc.bilinear_sample_batch(level, pixels, stride, mask=in_front))
     mixed = composed_mix(sampled, weights)
     return ad.reshape(mixed, (weights.shape[0], sampled[0].shape[1]))
@@ -224,22 +224,27 @@ def bilinear_cases(rng):
     return cases
 
 
-def _attention_case(rng, cameras, strides, level_sizes, K, O, H, c, refs):
+def _attention_case(rng, cameras, level_sizes, K, O, H, c, refs):
+    """level_sizes gives one map size per encoder stride."""
     maps = [rng.normal(size=(h, w, c)) for _ in cameras for h, w in level_sizes]
     S = len(maps) * O
     weights = rng.uniform(size=(K, H, S))
 
     def pyramid(level_maps):
-        L = len(strides)
+        L = len(enc.STRIDES)
         levels = [[level_maps[v * L + li] for v in range(len(cameras))] for li in range(L)]
-        return enc.FeaturePyramid(levels=levels, strides=strides)
+        return enc.FeaturePyramid(levels=levels)
 
     return Case(
         [refs] + maps + [weights],
         lambda r, *rest: dec._sample_and_mix(r, pyramid(rest[:-1]), cameras, rest[-1]),
-        lambda r, *rest: composed_attention(r, rest[:-1], rest[-1], strides, cameras),
+        lambda r, *rest: composed_attention(r, rest[:-1], rest[-1], cameras),
         fd_tol=1e-5,
     )
+
+
+# Level map sizes of a 16x16 view at the encoder strides 4, 8, 16 and 32.
+LEVELS_16 = ((4, 4), (2, 2), (1, 1), (1, 1))
 
 
 def attention_cases(rng):
@@ -253,11 +258,12 @@ def attention_cases(rng):
     behind = ext[:3, 3] - ext[:3, :3] @ np.array([0.0, 0.0, 0.5])
     refs[:2] = behind + rng.uniform(-0.05, 0.05, size=(2, 3))
     return [
-        # 2 views x 2 levels: a 4x4 level gathers, a 2x2 level uses the matmul.
-        _attention_case(rng, cams[:2], (4, 8), ((4, 4), (2, 2)), K, O, 2, 4, refs),
-        # The head-mixing case: 3 views x 1 level, 4 heads of width 2.
+        # 2 views x 4 levels, the sizes a 16x16 view gives: the 4x4 level
+        # gathers, the smaller ones use the matmul.
+        _attention_case(rng, cams[:2], LEVELS_16, K, O, 2, 4, refs),
+        # The head-mixing case: 1 view x 4 levels, 4 heads of width 2.
         _attention_case(
-            rng, cams, (4,), ((4, 4),), 5, 2, 4, 8, rng.uniform(-0.6, 0.6, size=(10, 3))
+            rng, cams[:1], LEVELS_16, 5, 2, 4, 8, rng.uniform(-0.6, 0.6, size=(10, 3))
         ),
     ]
 

@@ -202,7 +202,7 @@ class TestDeformableAttention:
             W = cam.world_to_camera()
             t = mu @ W[:3, :3].T + W[:3, 3]
             pix = t[:, :2] / t[:, 2:3] * [cam.fx, cam.fy] + [cam.cx, cam.cy]
-            for li, stride in enumerate(pyramid.strides):
+            for li, stride in enumerate(enc.STRIDES):
                 mats.append(
                     enc.bilinear_sample_batch(
                         pyramid.levels[li][0 if cam is cameras[0] else 1],
@@ -230,22 +230,25 @@ class TestDeformableAttention:
         np.testing.assert_array_equal(out.features.data, qs.features.data)
 
     def test_singleton_path_exact(self):
-        cfg = DecoderConfig(n_layers=1, n_views=1, n_levels=1, n_offsets=1, n_heads=4)
+        cfg = DecoderConfig(n_layers=1, n_views=1, n_offsets=1, n_heads=4)
         rng = np.random.default_rng(16)
         store = ad.ParamStore()
         enc.init_encoder_params(store, rng)
         dec.init_decoder_params(store, rng, cfg)
         cameras = make_cameras(1)
         img = rng.uniform(size=(32, 32, 3))
-        full = enc.encode(store, [img])
-        pyramid = enc.FeaturePyramid(levels=[full.levels[0]], strides=(4,))
+        pyramid = enc.encode(store, [img])
 
         qs = random_queries(3, seed=17)
         lp = "decoder.layer0"
+        store[f"{lp}.attn.logit.w"].data = np.zeros_like(
+            store[f"{lp}.attn.logit.w"].data
+        )
         out = dec.deformable_cross_attention(qs, pyramid, cameras, cfg, store, lp)
         update = out.features.data - qs.features.data
 
-        # Oracle: S = 1 so softmax weight is 1; follow the single path.
+        # Oracle: one view and one offset, so each level holds one sample
+        # and zero logits weight the four levels 1/4 each; follow the path.
         off = np.tanh(
             qs.features.data @ store[f"{lp}.attn.offset.w"].data
             + store[f"{lp}.attn.offset.b"].data
@@ -255,7 +258,13 @@ class TestDeformableAttention:
         W = cam.world_to_camera()
         t = mu @ W[:3, :3].T + W[:3, 3]
         pix = t[:, :2] / t[:, 2:3] * [cam.fx, cam.fy] + [cam.cx, cam.cy]
-        feat = enc.bilinear_sample_batch(pyramid.levels[0][0], pix, 4).data
+        feat = np.mean(
+            [
+                enc.bilinear_sample_batch(pyramid.levels[li][0], pix, stride).data
+                for li, stride in enumerate(enc.STRIDES)
+            ],
+            axis=0,
+        )
         expected = feat @ store[f"{lp}.attn.out.w"].data
         np.testing.assert_allclose(update, expected, atol=1e-10)
 
@@ -494,6 +503,9 @@ class TestRefineAndDecode:
         store, pyramid, cameras = make_setup(cfg, seed=31)
         anchors = dec.init_anchor_array(4, BOUNDS, seed=32)
         pos0 = anchors[0, :3].copy()
+        # The top-left 16x16 corner of the first view.
+        cam = cameras[0]
+        corner = Camera(intrinsics=cam.intrinsics, extrinsics=cam.extrinsics, image_size=(16, 16))
 
         def fn(t):
             first = ad.concat([ad.reshape(t, (1, 3)), ad.constant(anchors[:1, 3:])], axis=1)
@@ -504,7 +516,7 @@ class TestRefineAndDecode:
             head, _ = dec.decode(qs, pyramid, cameras, cfg, store)
             node, _ = rd.render_node(
                 head.mu, head.quat, head.scale, head.opacity, head.color,
-                cameras[0], rd.check_config(), image_size=(16, 16),
+                corner, rd.check_config(),
             )
             depth = ad.narrow(ad.reshape(node, (16 * 16, 4)), 1, 3, 1)
             return ad.mean(depth)

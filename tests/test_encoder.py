@@ -76,7 +76,7 @@ class TestEncode:
         pyramid = enc.encode(store, [np.zeros((64, 64, 3))])
         sizes = [lvl[0].data.shape for lvl in pyramid.levels]
         assert sizes == [(16, 16, 32), (8, 8, 32), (4, 4, 32), (2, 2, 32)]
-        assert pyramid.strides == (4, 8, 16, 32)
+        assert enc.STRIDES == (4, 8, 16, 32)
 
     def test_rectangular_input(self):
         store = make_store()

@@ -423,14 +423,13 @@ class TestLocalQueryInteraction:
         self.frozen = random_frozen(n=6, d_pre=8, seed=1)
 
     def run_block(self, k=None, anchors=None, feats=None):
-        cfg = self.task.cfg if k is None else replace(self.task.cfg, k=k)
-        tq = ft.TaskQuerySet(
-            positions=self.task.positions,
-            features=self.task.store["task.queries"],
-        )
+        k = self.task.cfg.k if k is None else k
         a = self.frozen.anchors if anchors is None else anchors
         f = self.frozen.features if feats is None else feats
-        return ft.local_query_interaction(tq, a, f, cfg, self.task.store)
+        neigh = ft.knn_neighbors(self.task.positions, a[:, dec.anchor_slice("pos")], k)
+        return ft.local_query_interaction(
+            self.task.positions, self.task.store["task.queries"], a, f, self.task.store, neigh
+        )
 
     def test_matches_numpy_replica(self):
         out = self.run_block()
@@ -442,7 +441,7 @@ class TestLocalQueryInteraction:
             self.frozen.features,
             self.task.cfg.k,
         )
-        np.testing.assert_allclose(out.features.data, want, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_single_neighbor_weight_is_exactly_one(self):
         out = self.run_block(k=1)
@@ -454,7 +453,7 @@ class TestLocalQueryInteraction:
             self.task.store["task.queries"].data
             + kv[neigh[:, 0]] @ self.task.store["task.interact.out.w"].data
         )
-        np.testing.assert_array_equal(out.features.data, want)
+        np.testing.assert_array_equal(out.data, want)
 
     def test_identical_neighbors_give_uniform_weights(self):
         anchors = np.repeat(self.frozen.anchors[:1], 4, axis=0)
@@ -467,55 +466,27 @@ class TestLocalQueryInteraction:
             self.task.store["task.queries"].data
             + kv @ self.task.store["task.interact.out.w"].data
         )
-        np.testing.assert_allclose(out.features.data, want, atol=1e-12)
+        np.testing.assert_allclose(out.data, want, atol=1e-12)
 
     def test_empty_anchors_identity_with_warning(self, caplog):
-        tq = ft.TaskQuerySet(
-            positions=self.task.positions,
-            features=self.task.store["task.queries"],
-        )
+        features = self.task.store["task.queries"]
         with caplog.at_level(logging.WARNING, logger="querysplat.finetune"):
             out = ft.local_query_interaction(
-                tq, np.zeros((0, 11)), np.zeros((0, 8)), self.task.cfg, self.task.store
+                self.task.positions, features, np.zeros((0, 11)), np.zeros((0, 8)),
+                self.task.store, None,
             )
-        assert out is tq
+        assert out is features
         assert any("identity" in r.message for r in caplog.records)
 
-    def test_given_neighbors_match_the_lookup(self):
-        def run(neighbors):
-            self.task.store.zero_grad()
-            tq = ft.TaskQuerySet(
-                positions=self.task.positions,
-                features=self.task.store["task.queries"],
-            )
-            out = ft.local_query_interaction(
-                tq, self.frozen.anchors, self.frozen.features, self.task.cfg,
-                self.task.store, neighbors,
-            )
-            ad.reduce_sum(out.features * out.features).backward()
-            grads = {
-                n: t.grad.tobytes() for n, t in self.task.store.items()
-                if t.grad is not None
-            }
-            return out.features.data.tobytes(), grads
-
-        neigh = ft.knn_neighbors(
-            self.task.positions, self.frozen.anchors[:, :3], self.task.cfg.k
-        )
-        assert run(neigh) == run(None)
-
     def test_empty_anchors_with_a_table_pass_through(self, caplog):
-        tq = ft.TaskQuerySet(
-            positions=self.task.positions,
-            features=self.task.store["task.queries"],
-        )
-        neigh = np.zeros((tq.positions.shape[0], self.task.cfg.k), dtype=np.intp)
+        features = self.task.store["task.queries"]
+        neigh = np.zeros((self.task.positions.shape[0], self.task.cfg.k), dtype=np.intp)
         with caplog.at_level(logging.WARNING, logger="querysplat.finetune"):
             out = ft.local_query_interaction(
-                tq, np.zeros((0, 11)), np.zeros((0, 8)), self.task.cfg,
+                self.task.positions, features, np.zeros((0, 11)), np.zeros((0, 8)),
                 self.task.store, neigh,
             )
-        assert out is tq
+        assert out is features
         assert any("identity" in r.message for r in caplog.records)
 
     def test_permutation_invariant_in_anchor_order(self):
@@ -525,7 +496,7 @@ class TestLocalQueryInteraction:
         out_p = self.run_block(
             anchors=self.frozen.anchors[perm], feats=self.frozen.features[perm]
         )
-        np.testing.assert_allclose(out.features.data, out_p.features.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, out_p.data, atol=1e-12)
 
     def test_feature_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -535,15 +506,16 @@ class TestLocalQueryInteraction:
         task = self.task
         frozen = self.frozen
         gt = np.random.default_rng(3).integers(0, 2, size=8)
+        neigh = ft.knn_neighbors(
+            task.positions, frozen.anchors[:, dec.anchor_slice("pos")], task.cfg.k
+        )
 
         def forward():
-            tq = ft.TaskQuerySet(
-                positions=task.positions, features=task.store["task.queries"]
+            features = ft.local_query_interaction(
+                task.positions, task.store["task.queries"], frozen.anchors,
+                frozen.features, task.store, neigh,
             )
-            tq = ft.local_query_interaction(
-                tq, frozen.anchors, frozen.features, task.cfg, task.store
-            )
-            logits = ft.occupancy_head(tq, task.grid, task.store)
+            logits = ft.occupancy_head(features, task.grid, task.store)
             return ad.cross_entropy(logits, gt)
 
         for name in task.store.names():
@@ -558,10 +530,7 @@ class TestLocalQueryInteraction:
 class TestOccupancyHead:
     def test_fresh_head_gives_uniform_logits(self):
         task = small_task(grid=2, d_task=8)
-        tq = ft.TaskQuerySet(
-            positions=task.positions, features=task.store["task.queries"]
-        )
-        logits = ft.occupancy_head(tq, task.grid, task.store)
+        logits = ft.occupancy_head(task.store["task.queries"], task.grid, task.store)
         assert logits.data.shape == (8, 2)
         np.testing.assert_array_equal(logits.data, np.zeros((8, 2)))
 
@@ -574,11 +543,8 @@ class TestOccupancyHead:
 
     def test_wrong_query_count_rejected(self):
         task = small_task(grid=2, d_task=8)
-        tq = ft.TaskQuerySet(
-            positions=task.positions, features=task.store["task.queries"]
-        )
         with pytest.raises(ValueError):
-            ft.occupancy_head(tq, 3, task.store)
+            ft.occupancy_head(task.store["task.queries"], 3, task.store)
 
 
 class TestVoxelGrid:
@@ -786,6 +752,22 @@ class TestFinetuneStep:
             ft.finetune_step(
                 self.fresh_task(), self.frozen, np.zeros((3, 3, 3)), state, 1e-2
             )
+
+    def test_non_finite_gradient_names_the_parameters(self, monkeypatch):
+        logits = ft._task_logits
+
+        def poisoned(*args):
+            # The loss stays finite; the VJP turns every cotangent into NaN.
+            out = logits(*args)
+            return ad.custom((out,), out.data, lambda g: (g * np.nan,), name="poison")
+
+        monkeypatch.setattr(ft, "_task_logits", poisoned)
+        task = self.fresh_task()
+        before = {n: t.data.tobytes() for n, t in task.store.items()}
+        with pytest.raises(pt.PretrainDivergedError, match="non-finite gradients") as e:
+            ft.finetune_step(task, self.frozen, self.gt, pt.OptimizerState(), 1e-2)
+        assert e.value.diagnostics["params"] == task.store.names()
+        assert {n: t.data.tobytes() for n, t in task.store.items()} == before
 
 
 class TestRunFinetuning:

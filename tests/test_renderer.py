@@ -180,7 +180,7 @@ class TestRenderForward:
 
     def test_zero_image_size_rejected(self):
         with pytest.raises(ValueError, match="image size"):
-            rd.render(np.zeros(0, dtype=geo.GAUSSIAN_DTYPE), make_camera(), image_size=(0, 32))
+            rd.render(np.zeros(0, dtype=geo.GAUSSIAN_DTYPE), make_camera(size=(0, 32)))
 
     def test_single_gaussian_matches_reference_exactly(self):
         g = {
