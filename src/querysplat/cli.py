@@ -576,6 +576,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return 1
     try:
         cfg = cf.load_config(args.config, _collect_overrides(args))
     except cf.ConfigError as e:

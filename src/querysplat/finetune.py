@@ -95,9 +95,9 @@ def filter_by_opacity(gaussians, features, alpha_thresh):
     return g[keep], f[keep]
 
 
-# Query rows per distance block in knn_neighbors: bounds its distance scratch
-# at _KNN_CHUNK x N whatever the number of task queries.  Its per-axis tables
-# add one row of N per distinct coordinate on the axis.
+# Query rows per block in knn_neighbors, in its scan and its full search:
+# bounds their scratch at _KNN_CHUNK x N whatever the number of task queries.
+# Its per-axis tables add one row of N per distinct coordinate on the axis.
 _KNN_CHUNK = 128
 
 # Query rows per block in neighbor_attention: bounds its gathered neighbour
@@ -113,13 +113,15 @@ def knn_neighbors(task_positions, anchor_positions, k):
 
     Each axis gets a table of squared differences between the distinct task
     coordinates on it and the anchors' coordinates: a G^3 voxel grid has G
-    per axis, at most M.  Rows are processed in blocks of _KNN_CHUNK, whose
-    squared distances are the gathered table rows added in axis order onto
-    zeros, the same bits as summing (t - a)**2 over the last axis.  Each
-    row's k candidates come from a partial select and are then ordered by
-    (distance, index); a row whose k-th distance is tied with an anchor
-    outside the candidates falls back to a full stable sort, so the result
-    equals a stable argsort of the squared distances bit for bit.
+    per axis, at most M.  A row's squared distances are its gathered table
+    rows added in axis order onto zeros, the same bits as summing
+    (t - a)**2 over the last axis.  A bounded scan (_scan_columns) settles
+    most rows from 8k anchors each; the rest go through the full search in
+    blocks of _KNN_CHUNK rows.  There each row's k candidates come from a
+    partial select and are then ordered by (distance, index); a row whose
+    k-th distance is tied with an anchor outside the candidates falls back
+    to a full stable sort.  So the result equals a stable argsort of the
+    squared distances bit for bit.
     """
     tp = np.asarray(task_positions, dtype=np.float64)
     ap = np.asarray(anchor_positions, dtype=np.float64)
@@ -137,16 +139,68 @@ def knn_neighbors(task_positions, anchor_positions, k):
         diff = vals[:, None] - ap[None, :, axis]
         tables.append((diff * diff, inv))
     out = np.empty((tp.shape[0], take), dtype=np.intp)
-    for lo in range(0, tp.shape[0], _KNN_CHUNK):
-        hi = min(lo + _KNN_CHUNK, tp.shape[0])
-        d2 = np.zeros((hi - lo, n))
+    rest = np.arange(tp.shape[0])
+    if n > 8 * k:
+        rest = _scan_columns(tables, k, out)
+    for lo in range(0, rest.size, _KNN_CHUNK):
+        rows = rest[lo : lo + _KNN_CHUNK]
+        d2 = np.zeros((rows.size, n))
         for table, inv in tables:
-            d2 += table[inv[lo:hi]]
-        out[lo:hi] = _k_smallest(d2, take)
+            d2 += table[inv[rows]]
+        out[rows] = _k_smallest(d2, take)
     if n >= k:
         return out
     fill = np.repeat(out[:, :1], k - n, axis=1)
     return np.concatenate([out, fill], axis=1)
+
+
+def _scan_columns(tables, k, out):
+    """Write the k nearest anchors of the rows a bounded scan settles into
+    out; return the other rows, ascending.  Needs more than 8k anchors.
+
+    Rows that share their coordinates on every axis but the last form a
+    column, and share its partial squared distances p: those axes' table
+    rows added onto zeros.  The column's scan set is its 8k anchors of
+    smallest p, and its bound b the next smallest p.  A row's distances over
+    the scan set are p plus its last-axis table row, the floats the full
+    search computes.  Every anchor outside the scan set is at a distance of
+    at least p >= b, since a square is never negative.  So a row is settled
+    when exactly k scanned distances are at or below its k-th one and that
+    one is below b: those k, ordered by (distance, index), are its nearest.
+    A tie at the k-th distance or at the bound, or a NaN, leaves it to the
+    full search.  Rows go in blocks of _KNN_CHUNK, sorted by column.
+    """
+    *head, (last, last_inv) = tables
+    n, m = last.shape[1], 8 * k
+    col = np.zeros(last_inv.shape[0], dtype=np.intp)
+    for table, inv in head:
+        col = col * table.shape[0] + inv
+    order = np.argsort(col, kind="stable")
+    settled = np.zeros(col.shape[0], dtype=bool)
+    for lo in range(0, order.size, _KNN_CHUNK):
+        rows = order[lo : lo + _KNN_CHUNK]
+        new = np.ones(rows.size, dtype=bool)
+        new[1:] = col[rows[1:]] != col[rows[:-1]]
+        which = np.cumsum(new) - 1  # each row's column within the block
+        p = np.zeros((int(new.sum()), n))
+        for table, inv in head:
+            p += table[inv[rows[new]]]
+        part = np.argpartition(p, m, axis=1)
+        bound = p[which, part[which, m]]
+        # Ascending anchor index, so each row's hits come in index order.
+        scan = np.sort(part[:, :m], axis=1)
+        near = np.take_along_axis(p, scan, axis=1)[which]
+        scan = scan[which]
+        near += np.take(last, last_inv[rows][:, None] * n + scan)
+        kth = np.partition(near, k - 1, axis=1)[:, k - 1 : k]
+        hit = near <= kth
+        ok = (hit.sum(axis=1) == k) & (kth[:, 0] < bound)
+        flat = np.flatnonzero(hit & ok[:, None])
+        pick, dist = scan.take(flat).reshape(-1, k), near.take(flat).reshape(-1, k)
+        by_dist = np.argsort(dist, axis=1, kind="stable")
+        out[rows[ok]] = np.take_along_axis(pick, by_dist, axis=1)
+        settled[rows[ok]] = True
+    return np.flatnonzero(~settled)
 
 
 def _k_smallest(d2, k):

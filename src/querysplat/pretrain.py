@@ -375,7 +375,8 @@ def run_pretraining(
     Writes `step,loss,lr` CSV rows when log_path is given (a resumed run
     keeps the rows of an existing log up to its checkpoint); emits SQSCKPT1
     training checkpoints (parameters + optimizer) every `checkpoint_every`
-    steps and always at the end when checkpoint_path is given. When
+    steps and at the end when checkpoint_path is given, unless the last
+    step that ran has just saved the same state. When
     checkpoint_dir is also given, each periodic checkpoint is additionally
     kept as `<checkpoint_dir>/step<NNNNNN>.ckpt` so intermediate states
     survive the final save. Passing a loaded checkpoint as resume_state
@@ -393,6 +394,7 @@ def run_pretraining(
         opt = OptimizerState(weight_decay=weight_decay)
         start = 1
     losses = []
+    saved = False  # the last step that ran wrote checkpoint_path
     log_file = _open_log(log_path, start) if log_path else None
     try:
         writer = None
@@ -412,11 +414,12 @@ def run_pretraining(
             losses.append(loss)
             if writer is not None:
                 writer.writerow([step, repr(loss), repr(float(lr))])
-            if (
+            saved = bool(
                 checkpoint_path
                 and checkpoint_every > 0
                 and step % checkpoint_every == 0
-            ):
+            )
+            if saved:
                 if log_file is not None:
                     log_file.flush()  # a resume keeps the rows up to here
                 state = train_state_dict(model, opt)
@@ -428,7 +431,7 @@ def run_pretraining(
                     )
             if callback is not None:
                 callback(step, loss, lr, model)
-        if checkpoint_path:
+        if checkpoint_path and not saved:
             save_checkpoint(checkpoint_path, train_state_dict(model, opt))
     finally:
         if log_file is not None:

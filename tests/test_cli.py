@@ -203,6 +203,13 @@ class TestUsageAndExitCodes:
         assert run("pretrain", "--config", cfg, "--dry-run") == 0
         assert "config ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, ws, capsys, threads):
+        _, cfg = ws
+        assert run("pretrain", "--config", cfg, "--dry-run", "--threads", threads) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --threads must be >= 1, got {threads}\n"
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SQS_SEED", "5")
         seedless = {k: v for k, v in TINY.items() if k != "seed"}

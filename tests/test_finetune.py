@@ -259,6 +259,99 @@ class TestKnnMatchesOracle:
             assert_matches_oracle(tasks, anchors, k)
 
 
+def grid_tasks(g):
+    return ft.voxel_centers(np.array([[-1.0] * 3, [1.0] * 3]), g)
+
+
+class TestKnnBoundedScan:
+    """Voxel-grid task queries, whose (x, y) columns the bounded scan settles
+    from their 8k nearest anchors, against the oracle: rows it cannot settle
+    must come out of the full search unchanged."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(1, 12),
+        n=st.integers(1, 400),
+        k=st.integers(1, 12),
+    )
+    def test_uniform_anchors(self, seed, g, n, k):
+        assert_matches_oracle(grid_tasks(g), points(seed, n, 0), k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(2, 12),
+        n=st.integers(50, 400),
+        k=st.integers(1, 6),
+    )
+    def test_anchors_in_one_corner(self, seed, g, n, k):
+        # Far from the cluster a column's scan set spans it all: most rows
+        # have their k-th distance at or past the bound and fall back.
+        anchors = -1.0 + 0.15 * (points(seed, n, 0) + 1.0)
+        assert_matches_oracle(grid_tasks(g), anchors, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(2, 12),
+        n=st.integers(20, 400),
+        k=st.integers(1, 8),
+        snap=st.sampled_from([1, 2, 4]),
+    )
+    def test_grid_snapped_anchors_tie_at_the_bound(self, seed, g, n, k, snap):
+        # Snapped x and y give many anchors the same partial distance, so a
+        # column's bound is often tied with its scan set and its rows'
+        # distances tie at the k-th.
+        assert_matches_oracle(grid_tasks(g), points(seed, n, snap), k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(1, 8),
+        k=st.integers(1, 12),
+        share=st.floats(0.0, 1.0),
+        snap=st.sampled_from([0, 2]),
+    )
+    def test_at_most_8k_anchors(self, seed, g, k, share, snap):
+        # From one anchor to exactly 8k: below k the row is filled, and no
+        # scan set leaves an anchor out to bound.
+        n = 1 + int(share * (8 * k - 1))
+        assert_matches_oracle(grid_tasks(g), points(seed, n, snap), k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        g=st.integers(2, 10),
+        n=st.integers(20, 300),
+        k=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_nan_rows(self, seed, g, n, k, data):
+        tasks, anchors = grid_tasks(g), points(seed, n, 0)
+        rows = data.draw(st.lists(st.integers(0, g**3 - 1), min_size=1, max_size=8))
+        axes = data.draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        tasks[rows, axes] = np.nan
+        anchors[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, 2))] = np.nan
+        assert_matches_oracle(tasks, anchors, k)
+
+    def test_scan_settles_most_rows(self, monkeypatch):
+        # The full search is the only caller of _k_smallest with a row per
+        # anchor: fewer than a tenth of a 16^3 grid's rows may reach it.
+        tasks, anchors = grid_tasks(16), points(0, 512, 0)
+        searched = []
+        k_smallest = ft._k_smallest
+
+        def spy(d2, k):
+            if d2.shape[1] == anchors.shape[0]:
+                searched.append(d2.shape[0])
+            return k_smallest(d2, k)
+
+        monkeypatch.setattr(ft, "_k_smallest", spy)
+        assert_matches_oracle(tasks, anchors, 8)
+        assert sum(searched) < tasks.shape[0] / 10
+
+
 class TestKnnAxisTables:
     """The per-axis distance tables on coordinates np.unique treats specially."""
 

@@ -461,6 +461,33 @@ class TestRunPretraining:
         for name in params:
             assert np.array_equal(params[name], final[name])
 
+    @pytest.mark.parametrize("every, calls, to_ckpt", [(1, 8, 4), (3, 3, 2)])
+    def test_final_save_skipped_only_after_a_periodic_one(self, tmp_path, monkeypatch,
+                                                          every, calls, to_ckpt):
+        # every=1: 4 steps save model.ckpt and checkpoints/step<N>.ckpt each,
+        # and the last of them is the final state.  every=3: step 3 saves
+        # both, and the end saves model.ckpt once more.
+        scene, sample = tiny_sample()
+        paths = []
+        save = pt.save_checkpoint
+        monkeypatch.setattr(
+            pt, "save_checkpoint", lambda path, state: paths.append(path) or save(path, state)
+        )
+        ckpt = os.path.join(tmp_path, "model.ckpt")
+        pt.run_pretraining(
+            tiny_model(scene), [sample], total_steps=4, warmup=2, checkpoint_path=ckpt,
+            checkpoint_every=every, checkpoint_dir=os.path.join(tmp_path, "checkpoints"),
+        )
+        assert len(paths) == calls
+        assert paths.count(ckpt) == to_ckpt
+        monkeypatch.undo()
+        final_only = os.path.join(tmp_path, "final.ckpt")
+        pt.run_pretraining(
+            tiny_model(scene), [sample], total_steps=4, warmup=2, checkpoint_path=final_only,
+        )
+        with open(ckpt, "rb") as f, open(final_only, "rb") as g:
+            assert f.read() == g.read()
+
     def test_checkpoint_carries_optimizer_state(self, tmp_path):
         model, _, _, ckpt = self.run(tmp_path, "o")
         state = load_checkpoint(ckpt)
