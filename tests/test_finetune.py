@@ -336,8 +336,8 @@ class TestKnnBoundedScan:
         assert_matches_oracle(tasks, anchors, k)
 
     def test_scan_settles_most_rows(self, monkeypatch):
-        # The full search is the only caller of _k_smallest with a row per
-        # anchor: fewer than a tenth of a 16^3 grid's rows may reach it.
+        # The full search hands _k_smallest one column per anchor: fewer
+        # than a tenth of a 16^3 grid's rows may reach it.
         tasks, anchors = grid_tasks(16), points(0, 512, 0)
         searched = []
         k_smallest = ft._k_smallest
