@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -169,6 +170,8 @@ def cmd_gen_data(cfg, args):
         raise UsageError(
             f"{scenes_root} already holds data; pass --force to overwrite"
         )
+    if args.force and os.path.isdir(scenes_root):
+        shutil.rmtree(scenes_root)  # no scene or view of an earlier dataset stays
     cf.write_resolved(cfg, out)
     data = cfg["data"]
     for i in range(data["n_scenes"]):

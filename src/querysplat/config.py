@@ -6,6 +6,8 @@ an unknown key is an error naming the full dotted path. SCHEMA gives every
 leaf its JSON kind and range; a value is checked against it, never
 converted. The fully-resolved document is echoed to
 ``out_dir/config.resolved`` so each run records exactly what it ran with.
+DEFAULTS is the one place a default is written: the typed sub-configs below
+and the library's signature defaults read its leaves.
 
 Seed resolution: an explicit ``seed`` (file or flag) wins; otherwise the
 ``SQS_SEED`` environment variable; otherwise 0.
@@ -17,11 +19,11 @@ import copy
 import json
 import math
 import os
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import encoder as enc
-from .decoder import DecoderConfig
-from .finetune import InteractionConfig
-from .pretrain import LossWeights
 
 # Every configurable knob with its default. `seed: None` means "not set",
 # resolved against SQS_SEED at load time.
@@ -68,6 +70,64 @@ DEFAULTS = {
         "train_fraction": 1.0,
     },
 }
+
+_DECODER, _PRETRAIN, _FINETUNE = DEFAULTS["decoder"], DEFAULTS["pretrain"], DEFAULTS["finetune"]
+
+
+@dataclass
+class DecoderConfig:
+    n_layers: int = _DECODER["n_layers"]
+    n_offsets: int = _DECODER["n_offsets"]
+    n_heads: int = _DECODER["n_heads"]
+    n_views: int = DEFAULTS["data"]["n_views"]
+    voxel_size: float | None = _DECODER["voxel_size"]  # None -> bounds extent / 32
+    K: int = _DECODER["queries"]
+    feature_dim: int = _DECODER["feature_dim"]
+
+    def __post_init__(self):
+        for field in ("n_offsets", "n_heads", "n_views", "K", "feature_dim"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be positive")
+        if self.n_layers < 0:
+            raise ValueError("n_layers must be >= 0")
+        if self.voxel_size is not None and self.voxel_size <= 0.0:
+            raise ValueError("voxel_size must be positive")
+        if self.feature_dim % self.n_heads != 0:
+            raise ValueError("feature_dim must be divisible by n_heads")
+        if enc.D_F % self.n_heads != 0:
+            raise ValueError("pyramid width must be divisible by n_heads")
+
+    def resolve_voxel_size(self, bounds):
+        if self.voxel_size is not None:
+            return float(self.voxel_size)
+        return float(np.linalg.norm(np.subtract(bounds[1], bounds[0]))) / 32.0
+
+
+@dataclass
+class LossWeights:
+    w_rgb: float = _PRETRAIN["w_rgb"]
+    w_depth: float = _PRETRAIN["w_depth"]
+
+    def __post_init__(self):
+        if self.w_rgb < 0.0 or self.w_depth < 0.0:
+            raise ValueError("loss weights must be non-negative")
+
+
+@dataclass
+class InteractionConfig:
+    """Knobs for the anchor-to-task-query attention block."""
+
+    k: int = _FINETUNE["k"]
+    alpha_thresh: float = _FINETUNE["alpha_thresh"]
+    pe_hidden: int = _FINETUNE["pe_hidden"]
+
+    def __post_init__(self):
+        for field in ("k", "pe_hidden"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
+        if not 0.0 <= self.alpha_thresh <= 1.0:
+            raise ValueError(f"alpha_thresh must be in [0, 1], got {self.alpha_thresh}")
+
 
 RESOLVED_NAME = "config.resolved"
 

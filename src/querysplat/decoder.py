@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import encoder as enc
+from .config import DecoderConfig  # noqa: F401 (dec.DecoderConfig)
 from .geometry import NEAR_PLANE
 
 SCALE_RANGE = (0.001, 0.25)  # fraction of bounds extent
@@ -35,36 +36,6 @@ INIT_OPACITY = 0.1
 ANCHOR_COLUMNS = {"pos": (0, 3), "scale": (3, 3), "quat": (6, 4), "opacity": (10, 1)}
 ANCHOR_DIM = sum(width for _, width in ANCHOR_COLUMNS.values())
 QUAT_EPS = 1e-8
-
-
-@dataclass
-class DecoderConfig:
-    n_layers: int = 2
-    n_offsets: int = 4
-    n_heads: int = 4
-    n_views: int = 4
-    voxel_size: float | None = None  # None -> bounds extent / 32
-    K: int = 512
-    feature_dim: int = 64
-
-    def __post_init__(self):
-        for field in ("n_offsets", "n_heads", "n_views", "K", "feature_dim"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be positive")
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
-        if self.voxel_size is not None and self.voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
-        if self.feature_dim % self.n_heads != 0:
-            raise ValueError("feature_dim must be divisible by n_heads")
-        if enc.D_F % self.n_heads != 0:
-            raise ValueError("pyramid width must be divisible by n_heads")
-
-    def resolve_voxel_size(self, bounds):
-        if self.voxel_size is not None:
-            return float(self.voxel_size)
-        extent = float(np.linalg.norm(np.asarray(bounds)[1] - np.asarray(bounds)[0]))
-        return extent / 32.0
 
 
 @dataclass

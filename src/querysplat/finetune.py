@@ -24,28 +24,10 @@ from . import autodiff as ad
 from . import decoder as dec
 from . import pretrain as pt
 from .checkpoint import save_checkpoint
+from .config import DEFAULTS, InteractionConfig
 from .decoder import _init_mlp2, _mlp2
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass
-class InteractionConfig:
-    """Knobs for the anchor-to-task-query attention block."""
-
-    k: int = 8
-    alpha_thresh: float = 0.05
-    pe_hidden: int = 64
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 <= self.alpha_thresh <= 1.0:
-            raise ValueError(
-                f"alpha_thresh must be in [0, 1], got {self.alpha_thresh}"
-            )
-        if self.pe_hidden < 1:
-            raise ValueError(f"pe_hidden must be >= 1, got {self.pe_hidden}")
 
 
 @dataclass
@@ -324,7 +306,7 @@ def voxel_centers(bounds, grid):
     return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
 
 
-def make_ground_truth_grid(scene, grid=16):
+def make_ground_truth_grid(scene, grid):
     """Binary occupancy on a grid^3 voxelization of the scene bounds.
 
     A voxel is occupied iff some scene Gaussian with opacity > 0.5 has its
@@ -376,7 +358,7 @@ class TaskModel:
     grid: int
 
 
-def build_task_model(bounds, grid=16, cfg=None, d_task=64, d_pre=64, seed=0):
+def build_task_model(bounds, *, grid, d_task, d_pre, cfg=None, seed=0):
     """Task queries at voxel centers plus interaction-block and head params.
 
     The output projection starts at zero, so the interaction block is an
@@ -440,7 +422,8 @@ def _task_logits(task, frozen, use_interaction):
     return occupancy_head(features, task.grid, task.store)
 
 
-def finetune_step(task, frozen, gt_grid, opt_state, lr, use_interaction=True):
+def finetune_step(task, frozen, gt_grid, opt_state, lr,
+                  use_interaction=DEFAULTS["finetune"]["use_interaction"]):
     """One cross-entropy step on the task parameters; returns the loss.
 
     The frozen inference enters as constants, so only the task store is
@@ -455,21 +438,10 @@ def finetune_step(task, frozen, gt_grid, opt_state, lr, use_interaction=True):
     task.store.zero_grad()
     logits = _task_logits(task, frozen, use_interaction)
     loss = ad.cross_entropy(logits, gt.reshape(-1).astype(np.int64))
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise pt.PretrainDivergedError("non-finite loss", {"lr": lr, "loss": value})
-    loss.backward()
-    bad = [  # items() runs in name order
-        n for n, p in task.store.items()
-        if p.grad is not None and not np.isfinite(p.grad).all()
-    ]
-    if bad:
-        raise pt.PretrainDivergedError("non-finite gradients", {"lr": lr, "params": bad})
-    pt.adamw_step(task.store, opt_state, lr)
-    return value
+    return pt.guarded_update(task.store, loss, opt_state, lr)
 
 
-def predict_occupancy(task, frozen, use_interaction=True):
+def predict_occupancy(task, frozen, use_interaction=DEFAULTS["finetune"]["use_interaction"]):
     """Argmax class per voxel, shape (G, G, G)."""
     logits = _task_logits(task, frozen, use_interaction)
     return np.argmax(logits.data, axis=1).reshape((task.grid,) * 3)
@@ -481,9 +453,9 @@ def run_finetuning(
     samples,
     scenes,
     total_steps,
-    lr=1e-3,
-    use_interaction=True,
-    weight_decay=0.01,
+    lr=DEFAULTS["finetune"]["lr"],
+    use_interaction=DEFAULTS["finetune"]["use_interaction"],
+    weight_decay=DEFAULTS["finetune"]["weight_decay"],
     log_path=None,
     checkpoint_path=None,
 ):

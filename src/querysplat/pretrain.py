@@ -2,11 +2,11 @@
 masked L1 reconstruction loss with AdamW under warmup + cosine scheduling.
 
 The loss is L = w_rgb * mean over all pixels of |rgb error| + w_depth * mean
-over mask-valid pixels of |depth error| (weights default 1.0 and 0.05),
-averaged over views. Weight decay is decoupled and applied multiplicatively
-before the moment update. Horizontal-flip augmentation mirrors images, the
-principal point, and camera poses about the scene's x midplane so the flipped
-sample is exactly the mirrored scene seen through mirrored cameras.
+over mask-valid pixels of |depth error|, averaged over views. Weight decay
+is decoupled and applied multiplicatively before the moment update.
+Horizontal-flip augmentation mirrors images, the principal point, and camera
+poses about the scene's x midplane so the flipped sample is exactly the
+mirrored scene seen through mirrored cameras.
 """
 
 from __future__ import annotations
@@ -23,18 +23,9 @@ from . import decoder as dec
 from . import encoder as enc
 from . import renderer as rd
 from .checkpoint import CheckpointError, save_checkpoint
+from .config import DEFAULTS, LossWeights
 from .geometry import Camera
 from .scenes import SceneSample
-
-
-@dataclass
-class LossWeights:
-    w_rgb: float = 1.0
-    w_depth: float = 0.05
-
-    def __post_init__(self):
-        if self.w_rgb < 0.0 or self.w_depth < 0.0:
-            raise ValueError("loss weights must be non-negative")
 
 
 @dataclass
@@ -42,7 +33,7 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.01
+    weight_decay: float = DEFAULTS["pretrain"]["weight_decay"]
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -80,7 +71,8 @@ def reconstruction_loss(pred_rgb, pred_depth, gt_rgb, gt_depth, valid_mask, w):
     return loss
 
 
-def lr_schedule(step, total_steps, warmup=500, peak=2e-4):
+def lr_schedule(step, total_steps, warmup=DEFAULTS["pretrain"]["warmup_steps"],
+                peak=DEFAULTS["pretrain"]["peak_lr"]):
     """Linear warmup to the peak, then cosine decay to exactly zero; with
     no warmup the cosine starts at the peak."""
     if warmup < 0:
@@ -245,26 +237,26 @@ def forward(model, sample, w, render_config=None):
     return loss * (1.0 / sample.n_views), head, outputs
 
 
+def guarded_update(store, loss, opt_state, lr):
+    """Backpropagate loss and take one AdamW step over store; returns the loss
+    value. A non-finite loss or gradient raises PretrainDivergedError before
+    any parameter moves, naming the bad parameters in store (name) order."""
+    value = float(loss.data)
+    if not np.isfinite(value):
+        raise PretrainDivergedError("non-finite loss", {"lr": lr, "loss": value})
+    loss.backward()
+    bad = [n for n, p in store.items() if p.grad is not None and not np.isfinite(p.grad).all()]
+    if bad:
+        raise PretrainDivergedError("non-finite gradients", {"lr": lr, "params": bad})
+    adamw_step(store, opt_state, lr)
+    return value
+
+
 def pretrain_step(model, sample, opt_state, w, lr):
     """One optimization step; returns the scalar loss value."""
     model.store.zero_grad()
     loss, _, _ = forward(model, sample, w)
-    value = float(loss.data)
-    if not np.isfinite(value):
-        diagnostics = {"lr": lr, "loss": value}
-        raise PretrainDivergedError("non-finite loss", diagnostics)
-    loss.backward()
-    grad_norms = {
-        name: float(np.linalg.norm(p.grad)) if p.grad is not None else 0.0
-        for name, p in model.store.items()
-    }
-    if not all(np.isfinite(v) for v in grad_norms.values()):
-        bad = sorted(n for n, v in grad_norms.items() if not np.isfinite(v))
-        raise PretrainDivergedError(
-            "non-finite gradients", {"lr": lr, "params": bad}
-        )
-    adamw_step(model.store, opt_state, lr)
-    return value
+    return guarded_update(model.store, loss, opt_state, lr)
 
 
 # Name prefix of a training checkpoint's optimizer records.
@@ -357,15 +349,17 @@ def run_pretraining(
     model,
     samples,
     total_steps,
-    warmup=500,
-    peak_lr=2e-4,
-    weight_decay=0.01,
+    warmup=DEFAULTS["pretrain"]["warmup_steps"],
+    peak_lr=DEFAULTS["pretrain"]["peak_lr"],
+    weight_decay=DEFAULTS["pretrain"]["weight_decay"],
     loss_weights=None,
+    # The one default unlike its leaf: library callers (criterion 7's overfit
+    # among them) train unaugmented; the CLI passes pretrain.hflip_prob.
     hflip_prob=0.0,
     seed=0,
     log_path=None,
     checkpoint_path=None,
-    checkpoint_every=0,
+    checkpoint_every=DEFAULTS["pretrain"]["checkpoint_every"],
     checkpoint_dir=None,
     callback=None,
     resume_state=None,

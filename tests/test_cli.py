@@ -342,6 +342,20 @@ class TestGenData:
                    "--force", "--threads", 8) == 0
         assert tree_bytes(again) == before
 
+    def test_force_leaves_no_scene_or_view_of_the_old_dataset(self, ws, tmp_path):
+        # A smaller dataset written over a larger one: fewer scenes, fewer views.
+        _, cfg = ws
+        out = tmp_path / "shrink"
+        assert run("gen-data", "--config", cfg, "--out-dir", out) == 0
+        one_view = tmp_path / "one_view.json"
+        one_view.write_text(json.dumps({**TINY, "data": {**TINY["data"], "n_views": 1}}))
+        assert run("gen-data", "--config", one_view, "--out-dir", out,
+                   "--n-scenes", 1, "--force") == 0
+        assert sorted(os.listdir(out / "scenes")) == ["0000"]
+        assert sorted(os.listdir(out / "scenes" / "0000")) == [
+            "mask0.bin", "scene.bin", "view0.pfm", "view0.ppm",
+        ]
+
 
 class TestPretrain:
     def test_outputs(self, pretrained):

@@ -1,5 +1,7 @@
 """Tests for the layered config system."""
 
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -9,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import querysplat.config as cf
+import querysplat.decoder as dec
+import querysplat.finetune as ft
+import querysplat.pretrain as pt
 from querysplat.decoder import DecoderConfig
 from querysplat.finetune import InteractionConfig
 
@@ -317,3 +322,95 @@ class TestTypedBuilders:
         assert ic.k == 8
         assert ic.alpha_thresh == 0.05
         assert ic.pe_hidden == 64
+
+
+# Library names of config leaves whose last dotted part differs.
+LEAF_ALIASES = {
+    "K": "decoder.queries",
+    "n_views": "data.n_views",
+    "warmup": "pretrain.warmup_steps",
+    "peak": "pretrain.peak_lr",
+    "d_pre": "decoder.feature_dim",
+}
+# Library defaults that differ from their leaf on purpose, with their value:
+# a library caller trains unaugmented, the CLI applies pretrain.hflip_prob.
+UNLIKE_THEIR_LEAF = {"run_pretraining.hflip_prob": 0.0}
+
+
+def library_defaults():
+    """(owner.name, module section, default) for every default of a public
+    function's parameter or a public dataclass's field, in the modules that
+    take configured values. A name re-exported from config counts once."""
+    for module in (cf, dec, pt, ft):
+        section = module.__name__.rsplit(".", 1)[1]
+        for owner, obj in vars(module).items():
+            if owner.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    if f.default is not dataclasses.MISSING:
+                        yield f"{owner}.{f.name}", section, f.default
+            elif inspect.isfunction(obj):
+                for p in inspect.signature(obj).parameters.values():
+                    if p.default is not inspect.Parameter.empty:
+                        yield f"{owner}.{p.name}", section, p.default
+
+
+def leaf_for(name, section, resolved):
+    """The dotted leaf a library name stands for, or None if it names none:
+    an alias, else the leaf of that name in the owner module's own section,
+    else the one leaf anywhere whose last part is the name."""
+    if name in LEAF_ALIASES:
+        return LEAF_ALIASES[name]
+    if f"{section}.{name}" in resolved:
+        return f"{section}.{name}"
+    matches = [leaf for leaf in resolved if leaf.rsplit(".", 1)[-1] == name]
+    assert len(matches) <= 1, f"{name} could name any of {matches}; give it an alias"
+    return matches[0] if matches else None
+
+
+class TestLibraryDefaultsAgree:
+    """Every library default that names a config leaf equals the leaf's
+    resolved default, so DEFAULTS is the one place a default is decided."""
+
+    def resolved(self, monkeypatch):
+        monkeypatch.delenv("SQS_SEED", raising=False)
+        cfg = cf.load_config()
+        out = {}
+        for dotted in leaves(cf.DEFAULTS):
+            value = cfg
+            for part in dotted.split("."):
+                value = value[part]
+            out[dotted] = value
+        return out
+
+    def test_each_default_equals_its_leaf(self, monkeypatch):
+        resolved = self.resolved(monkeypatch)
+        checked, unlike = set(), {}
+        for qualname, section, default in library_defaults():
+            leaf = leaf_for(qualname.rsplit(".", 1)[1], section, resolved)
+            if leaf is None:
+                continue
+            if qualname in UNLIKE_THEIR_LEAF:
+                unlike[qualname] = default
+                continue
+            assert default == resolved[leaf] and type(default) is type(resolved[leaf]), (
+                f"{qualname} defaults to {default!r} but {leaf} to {resolved[leaf]!r}"
+            )
+            checked.add(qualname)
+        assert unlike == UNLIKE_THEIR_LEAF
+        # The enumeration reaches every kind of owner: typed sub-configs,
+        # the optimizer state and the library's signature defaults.
+        assert {
+            "DecoderConfig.K", "DecoderConfig.n_views", "DecoderConfig.voxel_size",
+            "LossWeights.w_depth", "InteractionConfig.alpha_thresh",
+            "OptimizerState.weight_decay", "lr_schedule.warmup", "lr_schedule.peak",
+            "run_pretraining.peak_lr", "run_pretraining.checkpoint_every",
+            "run_finetuning.lr", "run_finetuning.weight_decay",
+            "finetune_step.use_interaction", "predict_occupancy.use_interaction",
+        } <= checked
+
+    def test_library_modules_re_export_the_config_classes(self):
+        assert dec.DecoderConfig is cf.DecoderConfig
+        assert pt.LossWeights is cf.LossWeights
+        assert ft.InteractionConfig is cf.InteractionConfig

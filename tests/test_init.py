@@ -36,3 +36,20 @@ def test_blas_pinned_to_one_thread_when_numpy_loads_first():
         check=True,
     )
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("module", ["config", "decoder", "pretrain", "finetune", "cli"])
+def test_each_module_imports_first_without_a_cycle(module):
+    # config holds the typed sub-configs that decoder, pretrain and finetune
+    # import; whichever module a fresh interpreter loads first must import.
+    script = (
+        f"import querysplat.{module}\n"
+        "from querysplat.config import DecoderConfig\n"
+        "print(DecoderConfig().K)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "512"
