@@ -36,12 +36,38 @@ class UsageError(Exception):
     """Bad input from the user: missing files, mismatched dims, bad flags."""
 
 
+# Every flag that overrides a config leaf, with the dotted leaf it sets:
+# COMMON_FLAGS on every command, COMMAND_FLAGS on one. eval scores with the
+# task settings finetune trained with, so the two share theirs.
+COMMON_FLAGS = {"--seed": "seed", "--out-dir": "out_dir", "--queries": "decoder.queries"}
+_TASK_FLAGS = {"--no-interaction": "finetune.use_interaction", "--k": "finetune.k",
+               "--alpha-thresh": "finetune.alpha_thresh", "--grid": "finetune.grid",
+               "--train-fraction": "finetune.train_fraction"}
+COMMAND_FLAGS = {
+    "gen-data": {"--n-scenes": "data.n_scenes"},
+    "pretrain": {"--steps": "pretrain.total_steps"},
+    "finetune": {**_TASK_FLAGS, "--steps": "finetune.steps"},
+    "eval": _TASK_FLAGS,
+}
+
+
+def _add_override_flags(parser, flags):
+    """Each flag stores into its leaf's dotted key, parsed as the leaf's
+    kind; a --no- flag sets its true/false leaf to false."""
+    for flag, leaf in flags.items():
+        if flag.startswith("--no-"):
+            parser.add_argument(flag, dest=leaf, action="store_const", const=False,
+                                help=f"set {leaf} to false")
+        else:
+            parse = cf.SCHEMA[leaf][0][2]
+            parser.add_argument(flag, dest=leaf, type=parse, help=f"override {leaf}",
+                                metavar=leaf.rsplit(".", 1)[-1].upper())
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file (defaults apply)")
-    common.add_argument("--seed", type=int, help="run seed (else SQS_SEED, else 0)")
-    common.add_argument("--out-dir", help="output directory for this run")
-    common.add_argument("--queries", type=int, help="override decoder.queries")
+    _add_override_flags(common, COMMON_FLAGS)
     common.add_argument(
         "--threads", type=int, default=1,
         help="worker cap; execution is single-worker, so results are "
@@ -55,12 +81,10 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", parents=[common], help="write a scene dataset")
-    gen.add_argument("--n-scenes", type=int, help="override data.n_scenes")
     gen.add_argument("--force", action="store_true", help="overwrite existing data")
 
     pre = sub.add_parser("pretrain", parents=[common], help="run pre-training")
     pre.add_argument("--data", help="dataset directory from gen-data")
-    pre.add_argument("--steps", type=int, help="override pretrain.total_steps")
     pre.add_argument("--resume", help="continue from a training checkpoint")
     pre.add_argument(
         "--dry-run", action="store_true", help="validate config and exit"
@@ -73,58 +97,24 @@ def build_parser():
     fin = sub.add_parser("finetune", parents=[common], help="occupancy transfer")
     fin.add_argument("--data", required=True, help="dataset directory")
     fin.add_argument("--pretrained", required=True, help="pre-trained checkpoint")
-    fin.add_argument("--no-interaction", action="store_true",
-                     help="ablation: skip the query-interaction block")
-    fin.add_argument("--k", type=int, help="override finetune.k")
-    fin.add_argument("--alpha-thresh", type=float, help="override finetune.alpha_thresh")
-    fin.add_argument("--grid", type=int, help="override finetune.grid")
-    fin.add_argument("--steps", type=int, help="override finetune.steps")
-    fin.add_argument("--train-fraction", type=float,
-                     help="override finetune.train_fraction")
 
     ev = sub.add_parser("eval", parents=[common], help="score a task checkpoint")
     ev.add_argument("--data", required=True, help="dataset directory")
     ev.add_argument("--pretrained", required=True, help="pre-trained checkpoint")
     ev.add_argument("--task", required=True, help="task checkpoint from finetune")
-    ev.add_argument("--no-interaction", action="store_true")
-    ev.add_argument("--k", type=int)
-    ev.add_argument("--alpha-thresh", type=float)
-    ev.add_argument("--grid", type=int)
-    ev.add_argument("--train-fraction", type=float)
 
     gc = sub.add_parser("gradcheck", parents=[common],
                         help="finite-difference verification suite")
     gc.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
+    for command, flags in COMMAND_FLAGS.items():
+        _add_override_flags(sub.choices[command], flags)
     return p
 
 
 def _collect_overrides(args):
-    """Map set command-line flags onto dotted config keys."""
-    mapping = {
-        "seed": "seed",
-        "out_dir": "out_dir",
-        "n_scenes": "data.n_scenes",
-        "steps": {
-            "pretrain": "pretrain.total_steps",
-            "finetune": "finetune.steps",
-        },
-        "queries": "decoder.queries",
-        "k": "finetune.k",
-        "alpha_thresh": "finetune.alpha_thresh",
-        "grid": "finetune.grid",
-        "train_fraction": "finetune.train_fraction",
-    }
-    overrides = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is None:
-            continue
-        if isinstance(key, dict):
-            key = key[args.command]
-        overrides[key] = value
-    if getattr(args, "no_interaction", False):
-        overrides["finetune.use_interaction"] = False
-    return overrides
+    """The config leaves that set command-line flags override, by dotted key."""
+    return {key: value for key, value in vars(args).items()
+            if key in cf.SCHEMA and value is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +137,19 @@ def _scene_dirs(data_dir):
 
 def _load_dataset(dirs):
     """Scenes of the given scene directories plus baked samples, with the
-    stored sparse masks applied."""
+    stored sparse masks applied; a mask must be its view's size."""
     scenes, samples = [], []
     for d in dirs:
         scene = sc.load_scene(os.path.join(d, "scene.bin"))
         sample = sc.bake_ground_truth(scene)
-        masks = np.stack(
-            [
-                read_mask(os.path.join(d, f"mask{k}.bin"))
-                for k in range(sample.n_views)
-            ]
-        )
+        masks = []
+        for k, view in enumerate(sample.valid_mask):
+            path = os.path.join(d, f"mask{k}.bin")
+            masks.append(read_mask(path))
+            if masks[-1].shape != view.shape:
+                raise UsageError(f"{path} has shape {masks[-1].shape}, its view {view.shape}")
         scenes.append(scene)
-        samples.append(replace(sample, valid_mask=masks))
+        samples.append(replace(sample, valid_mask=np.stack(masks)))
     return scenes, samples
 
 
@@ -192,13 +182,6 @@ def cmd_gen_data(cfg, args):
     return 0
 
 
-def _build_model_for(cfg, bounds, from_checkpoint=False):
-    """The config's pre-training model; one that a checkpoint will fill is
-    built without drawing initial values."""
-    seed = None if from_checkpoint else cfg["seed"]
-    return pt.build_model(bounds, cf.decoder_config(cfg), seed=seed)
-
-
 def _check_views(cfg, scenes):
     want, got = cfg["data"]["n_views"], len(scenes[0].cameras)
     if got != want:
@@ -227,7 +210,10 @@ def cmd_pretrain(cfg, args):
     cf.write_resolved(cfg, out)
     scenes, samples = _load_dataset(_scene_dirs(args.data))
     _check_views(cfg, scenes)
-    model = _build_model_for(cfg, scenes[0].bounds, from_checkpoint=bool(args.resume))
+    model = pt.build_model(scenes[0].bounds, cf.decoder_config(cfg),
+                           seed=None if args.resume else cfg["seed"])
+    if args.resume:  # run_pretraining loads it again, with the optimizer
+        _fill(model.store, pt.model_state(resume_state), "resume")
 
     def snapshot(step, loss, lr, model):
         if p["snapshot_every"] <= 0 or step % p["snapshot_every"] != 0:
@@ -304,13 +290,16 @@ def _split_scenes(dirs, fraction):
     return dirs[:n_train], dirs[n_train:]
 
 
-def _load_pretrained(cfg, path, bounds):
-    model = _build_model_for(cfg, bounds, from_checkpoint=True)
-    state = load_checkpoint(path, skip=pt.OPT_PREFIX)
+def _fill(store, state, what):
     try:
-        model.store.load_state_dict(state)
+        store.load_state_dict(state)
     except ValueError as e:
-        raise UsageError(f"pre-trained checkpoint does not match the config: {e}")
+        raise UsageError(f"{what} checkpoint does not match the config: {e}")
+
+
+def _load_pretrained(cfg, path, bounds):
+    model = pt.build_model(bounds, cf.decoder_config(cfg), seed=None)  # draws nothing
+    _fill(model.store, load_checkpoint(path, skip=pt.OPT_PREFIX), "pre-trained")
     return model
 
 
@@ -328,10 +317,7 @@ def _build_task(cfg, bounds, d_pre, from_checkpoint=False):
 
 def _load_task(cfg, path, bounds, d_pre):
     task = _build_task(cfg, bounds, d_pre, from_checkpoint=True)
-    try:
-        task.store.load_state_dict(load_checkpoint(path))
-    except ValueError as e:
-        raise UsageError(f"task checkpoint does not match the config: {e}")
+    _fill(task.store, load_checkpoint(path), "task")
     return task
 
 

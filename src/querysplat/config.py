@@ -6,8 +6,10 @@ an unknown key is an error naming the full dotted path. SCHEMA gives every
 leaf its JSON kind and range; a value is checked against it, never
 converted. The fully-resolved document is echoed to
 ``out_dir/config.resolved`` so each run records exactly what it ran with.
-DEFAULTS is the one place a default is written: the typed sub-configs below
-and the library's signature defaults read its leaves.
+DEFAULTS is the one place a default is written and SCHEMA the one place a
+kind or range is. Each typed sub-config field below names its leaf once and
+takes its default and its check from there, so a library-built config
+rejects what a config file rejects; signature defaults read DEFAULTS too.
 
 Seed resolution: an explicit ``seed`` (file or flag) wins; otherwise the
 ``SQS_SEED`` environment variable; otherwise 0.
@@ -19,7 +21,7 @@ import copy
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,64 +72,6 @@ DEFAULTS = {
         "train_fraction": 1.0,
     },
 }
-
-_DECODER, _PRETRAIN, _FINETUNE = DEFAULTS["decoder"], DEFAULTS["pretrain"], DEFAULTS["finetune"]
-
-
-@dataclass
-class DecoderConfig:
-    n_layers: int = _DECODER["n_layers"]
-    n_offsets: int = _DECODER["n_offsets"]
-    n_heads: int = _DECODER["n_heads"]
-    n_views: int = DEFAULTS["data"]["n_views"]
-    voxel_size: float | None = _DECODER["voxel_size"]  # None -> bounds extent / 32
-    K: int = _DECODER["queries"]
-    feature_dim: int = _DECODER["feature_dim"]
-
-    def __post_init__(self):
-        for field in ("n_offsets", "n_heads", "n_views", "K", "feature_dim"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be positive")
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
-        if self.voxel_size is not None and self.voxel_size <= 0.0:
-            raise ValueError("voxel_size must be positive")
-        if self.feature_dim % self.n_heads != 0:
-            raise ValueError("feature_dim must be divisible by n_heads")
-        if enc.D_F % self.n_heads != 0:
-            raise ValueError("pyramid width must be divisible by n_heads")
-
-    def resolve_voxel_size(self, bounds):
-        if self.voxel_size is not None:
-            return float(self.voxel_size)
-        return float(np.linalg.norm(np.subtract(bounds[1], bounds[0]))) / 32.0
-
-
-@dataclass
-class LossWeights:
-    w_rgb: float = _PRETRAIN["w_rgb"]
-    w_depth: float = _PRETRAIN["w_depth"]
-
-    def __post_init__(self):
-        if self.w_rgb < 0.0 or self.w_depth < 0.0:
-            raise ValueError("loss weights must be non-negative")
-
-
-@dataclass
-class InteractionConfig:
-    """Knobs for the anchor-to-task-query attention block."""
-
-    k: int = _FINETUNE["k"]
-    alpha_thresh: float = _FINETUNE["alpha_thresh"]
-    pe_hidden: int = _FINETUNE["pe_hidden"]
-
-    def __post_init__(self):
-        for field in ("k", "pe_hidden"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
-        if not 0.0 <= self.alpha_thresh <= 1.0:
-            raise ValueError(f"alpha_thresh must be in [0, 1], got {self.alpha_thresh}")
-
 
 RESOLVED_NAME = "config.resolved"
 
@@ -199,23 +143,24 @@ def _is_finite(v):
 # The encoder halves each view down to its coarsest pyramid stride.
 _STRIDE = enc.STRIDES[-1]
 
-# JSON kinds: the test a value must pass and how an error names the kind.
+# JSON kinds: the test a value must pass, how an error names the kind, and
+# how a command-line flag parses its text into one (None: no flag takes it).
 # JSON integers pass as numbers; bools pass only as bools.
-_INT = (_is_int, "an integer")
-_FLOAT = (_is_finite, "a finite number")
-_FLOAT_OR_NULL = (lambda v: v is None or _is_finite(v), "null or a finite number")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_INT = (_is_int, "an integer", int)
+_FLOAT = (_is_finite, "a finite number", float)
+_FLOAT_OR_NULL = (lambda v: v is None or _is_finite(v), "null or a finite number", None)
+_BOOL = (lambda v: isinstance(v, bool), "true or false", None)
+_PATH = (lambda v: isinstance(v, str) and v != "", "a non-empty string", str)
 _SIZE = (
     lambda v: isinstance(v, list) and len(v) == 2
     and all(_is_int(x) and x >= 1 and x % _STRIDE == 0 for x in v),
-    f"two positive multiples of {_STRIDE}",
+    f"two positive multiples of {_STRIDE}", None,
 )
 _BOX = (
     lambda v: isinstance(v, list) and len(v) == 2
     and all(isinstance(c, list) and len(c) == 3 and all(map(_is_finite, c)) for c in v)
     and all(lo < hi for lo, hi in zip(*v)),
-    "two finite [x, y, z] corners with low < high",
+    "two finite [x, y, z] corners with low < high", None,
 )
 
 _POSITIVE = (lambda x: x > 0, "> 0")
@@ -263,28 +208,84 @@ SCHEMA = {
 }
 
 
+def _lookup(tree, dotted):
+    for part in dotted.split("."):
+        tree = tree[part]
+    return tree
+
+
+def _check(value, dotted, name):
+    """Raise a ConfigError naming `name` unless value has leaf `dotted`'s kind and range."""
+    (is_kind, kind, _), limit = SCHEMA[dotted]
+    if not is_kind(value):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if limit is not None and value is not None and not limit[0](value):
+        raise ConfigError(f"{name} must be {limit[1]}, got {value!r}")
+
+
+def _leaf(dotted):
+    """A typed-config field for one leaf: it takes the leaf's default, is checked
+    against the leaf's SCHEMA entry, and the builders below read it from the leaf."""
+    return field(default=_lookup(DEFAULTS, dotted), metadata={"leaf": dotted})
+
+
+class _Leaves:
+    """Base of the typed sub-configs: checks each field against its leaf."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check(getattr(self, f.name), f.metadata["leaf"], f.name)
+
+
+@dataclass
+class DecoderConfig(_Leaves):
+    n_layers: int = _leaf("decoder.n_layers")
+    n_offsets: int = _leaf("decoder.n_offsets")
+    n_heads: int = _leaf("decoder.n_heads")
+    n_views: int = _leaf("data.n_views")
+    voxel_size: float | None = _leaf("decoder.voxel_size")  # None -> bounds extent / 32
+    K: int = _leaf("decoder.queries")
+    feature_dim: int = _leaf("decoder.feature_dim")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.feature_dim % self.n_heads != 0:
+            raise ConfigError("feature_dim must be divisible by n_heads")
+        if enc.D_F % self.n_heads != 0:
+            raise ConfigError("pyramid width must be divisible by n_heads")
+
+    def resolve_voxel_size(self, bounds):
+        if self.voxel_size is not None:
+            return float(self.voxel_size)
+        return float(np.linalg.norm(np.subtract(bounds[1], bounds[0]))) / 32.0
+
+
+@dataclass
+class LossWeights(_Leaves):
+    w_rgb: float = _leaf("pretrain.w_rgb")
+    w_depth: float = _leaf("pretrain.w_depth")
+
+
+@dataclass
+class InteractionConfig(_Leaves):
+    """Knobs for the anchor-to-task-query attention block."""
+
+    k: int = _leaf("finetune.k")
+    alpha_thresh: float = _leaf("finetune.alpha_thresh")
+    pe_hidden: int = _leaf("finetune.pe_hidden")
+
+
 def validate(cfg):
     """Check every leaf against SCHEMA and total_steps > warmup_steps, then
-    build each typed sub-config so its own invariants run. The document is
+    build the decoder config so its divisibility checks run. The document is
     left as it is."""
-    for dotted, ((is_kind, kind), limit) in SCHEMA.items():
-        value = cfg
-        for part in dotted.split("."):
-            value = value[part]
-        if not is_kind(value):
-            raise ConfigError(f"{dotted} must be {kind}, got {value!r}")
-        if limit is not None and value is not None and not limit[0](value):
-            raise ConfigError(f"{dotted} must be {limit[1]}, got {value!r}")
+    for dotted in SCHEMA:
+        _check(_lookup(cfg, dotted), dotted, dotted)
     p = cfg["pretrain"]
     if p["total_steps"] <= p["warmup_steps"]:
         raise ConfigError("pretrain.total_steps must exceed pretrain.warmup_steps "
                           f"({p['total_steps']} <= {p['warmup_steps']})")
-    try:
-        decoder_config(cfg)
-        loss_weights(cfg)
-        interaction_config(cfg)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    decoder_config(cfg)
 
 
 def write_resolved(cfg, out_dir):
@@ -297,20 +298,17 @@ def write_resolved(cfg, out_dir):
     return path
 
 
+def _typed(cls, cfg):
+    return cls(**{f.name: _lookup(cfg, f.metadata["leaf"]) for f in fields(cls)})
+
+
 def decoder_config(cfg):
-    d = cfg["decoder"]
-    return DecoderConfig(
-        n_layers=d["n_layers"], n_offsets=d["n_offsets"], n_heads=d["n_heads"],
-        n_views=cfg["data"]["n_views"], voxel_size=d["voxel_size"], K=d["queries"],
-        feature_dim=d["feature_dim"],
-    )
+    return _typed(DecoderConfig, cfg)
 
 
 def loss_weights(cfg):
-    p = cfg["pretrain"]
-    return LossWeights(w_rgb=p["w_rgb"], w_depth=p["w_depth"])
+    return _typed(LossWeights, cfg)
 
 
 def interaction_config(cfg):
-    f = cfg["finetune"]
-    return InteractionConfig(k=f["k"], alpha_thresh=f["alpha_thresh"], pe_hidden=f["pe_hidden"])
+    return _typed(InteractionConfig, cfg)

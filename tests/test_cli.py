@@ -25,6 +25,7 @@ import querysplat.finetune as ft
 import querysplat.pretrain as pt
 import querysplat.scenes as sc
 from querysplat import cli
+from querysplat import config as cf
 from querysplat.checkpoint import load_checkpoint, save_checkpoint
 from querysplat.images import read_pfm, write_mask, write_pfm, write_ppm
 
@@ -287,6 +288,24 @@ class TestForgedHeaders:
         assert code == 1
         assert "mask data needs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval"])
+    def test_mask_of_another_size_is_named(self, ws, dataset, pretrained, finetuned,
+                                           tmp_path, capsys, command):
+        _, cfg = ws
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        bad = data / "scenes" / "0000" / "mask1.bin"
+        write_mask(str(bad), np.ones((16, 16), dtype=bool))
+        models = {
+            "pretrain": [],
+            "finetune": ["--pretrained", os.path.join(pretrained, "model.ckpt")],
+            "eval": ["--pretrained", os.path.join(pretrained, "model.ckpt"),
+                     "--task", os.path.join(finetuned, "task.ckpt")],
+        }[command]
+        assert run(command, "--config", cfg, "--data", data, "--out-dir", tmp_path / "o",
+                   *models) == 1
+        one_error_line(capsys, str(bad), "(16, 16)", "(32, 32)")
+
     def test_checkpoint_shape(self, ws, dataset, pretrained, tmp_path, capsys):
         _, cfg = ws
         with open(os.path.join(pretrained, "model.ckpt"), "rb") as fh:
@@ -301,6 +320,62 @@ class TestForgedHeaders:
                    "--out-dir", tmp_path / "o")
         assert code == 1
         assert "needs" in capsys.readouterr().err
+
+
+# Arguments each command requires besides its override flags, and a valid
+# text for each kind a flag parses, with the value it must set.
+REQUIRED = {
+    "render": ["--checkpoint", "c", "--scene", "s"],
+    "finetune": ["--data", "d", "--pretrained", "p"],
+    "eval": ["--data", "d", "--pretrained", "p", "--task", "t"],
+}
+VALID_TEXT = {"an integer": ("3", 3), "a finite number": ("0.5", 0.5),
+              "a non-empty string": ("x", "x")}
+OVERRIDES = [(command, flag, leaf) for command in cli.COMMANDS
+             for flag, leaf in {**cli.COMMON_FLAGS, **cli.COMMAND_FLAGS.get(command, {})}.items()]
+ALL_FLAGS = {flag for _, flag, _ in OVERRIDES}
+
+
+def kind_of(leaf):
+    return cf.SCHEMA[leaf][0][1]
+
+
+def refused_by_the_parser(*argv):
+    """The parser refuses argv, so the command never runs and main exits 1."""
+    with pytest.raises(SystemExit) as e:
+        cli.build_parser().parse_args(list(argv))
+    assert e.value.code == 2
+    return run(*argv) == 1
+
+
+class TestOverrideFlags:
+    """Each override flag sets exactly its leaf, parsed as the leaf's kind."""
+
+    @pytest.mark.parametrize("command, flag, leaf", OVERRIDES)
+    def test_flag_sets_exactly_its_leaf(self, command, flag, leaf):
+        if flag.startswith("--no-"):
+            argv, want = [flag], False
+        else:
+            text, want = VALID_TEXT[kind_of(leaf)]
+            argv = [flag, text]
+        args = cli.build_parser().parse_args([command, *REQUIRED.get(command, []), *argv])
+        got = cli._collect_overrides(args)
+        assert got == {leaf: want} and type(got[leaf]) is type(want)
+
+    @pytest.mark.parametrize("command, flag, text", [
+        (command, flag, text) for command, flag, leaf in OVERRIDES
+        for text in {"an integer": ["2.5", "x"], "a finite number": ["x"]}.get(kind_of(leaf), [])
+    ])
+    def test_value_of_another_kind_exits_1(self, command, flag, text):
+        assert refused_by_the_parser(command, *REQUIRED.get(command, []), flag, text)
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in cli.COMMANDS for flag in sorted(ALL_FLAGS)
+        if (command, flag) not in {(c, f) for c, f, _ in OVERRIDES}
+    ])
+    def test_flag_of_another_command_exits_1(self, command, flag):
+        value = [] if flag.startswith("--no-") else ["3"]
+        assert refused_by_the_parser(command, *REQUIRED.get(command, []), flag, *value)
 
 
 class TestGenData:
@@ -477,6 +552,17 @@ class TestFinishedAndForgedCheckpoints:
                    "--steps", 4) == 1
         one_error_line(capsys, "step 6", "last step 4")
         assert not out.exists()
+
+    def test_resume_checkpoint_of_another_config_is_named(self, ws, dataset, pretrained,
+                                                          tmp_path, capsys):
+        _, cfg = ws
+        out = tmp_path / "out"
+        assert run("pretrain", "--config", cfg, "--data", dataset, "--out-dir", out,
+                   "--queries", 32,
+                   "--resume", os.path.join(pretrained, "checkpoints", "step000003.ckpt")) == 1
+        one_error_line(capsys, "error: resume checkpoint does not match the config: ",
+                       "'queries.anchors'")
+        assert not (out / "model.ckpt").exists()
 
     @pytest.mark.parametrize("step", [2.5, 1e300, float("nan"), -5.0])
     def test_forged_step_is_refused(self, ws, dataset, pretrained, tmp_path, capsys,

@@ -324,6 +324,49 @@ class TestTypedBuilders:
         assert ic.pe_hidden == 64
 
 
+# Values across every kind and range a typed-config leaf can reject: none,
+# a string, bools, a fraction, non-finite floats, an integer too large for a
+# float, zero, negatives and a value above one.
+CANDIDATES = [None, "1", True, False, 2.5, float("nan"), float("inf"), -float("inf"),
+              10**400, 0, 0.0, -1, -0.5, 1.5]
+TYPED_FIELDS = [(cls, f) for cls in (cf.DecoderConfig, cf.LossWeights, cf.InteractionConfig)
+                for f in dataclasses.fields(cls)]
+
+
+def schema_rejects(dotted, value):
+    """Whether SCHEMA's own kind test or range refuses value for a leaf."""
+    (is_kind, _, _), limit = cf.SCHEMA[dotted]
+    return not is_kind(value) or (limit is not None and value is not None
+                                  and not limit[0](value))
+
+
+class TestTypedConfigsCheckSchema:
+    """A typed-config field is checked against its leaf's SCHEMA entry, so a
+    library-built config rejects what a config file rejects."""
+
+    @pytest.mark.parametrize("cls, field", TYPED_FIELDS,
+                             ids=[f"{c.__name__}.{f.name}" for c, f in TYPED_FIELDS])
+    def test_every_value_schema_rejects_raises_naming_the_field(self, cls, field):
+        leaf = field.metadata["leaf"]
+        (is_kind, _, _), _ = cf.SCHEMA[leaf]
+        rejected = [v for v in CANDIDATES if schema_rejects(leaf, v)]
+        assert any(not is_kind(v) for v in rejected), f"no candidate is out of {leaf}'s kind"
+        for value in rejected:
+            with pytest.raises(ValueError, match=f"^{field.name} must be "):
+                cls(**{field.name: value})
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (cf.LossWeights, "w_rgb", float("nan")),
+        (cf.LossWeights, "w_depth", float("inf")),
+        (cf.DecoderConfig, "voxel_size", float("nan")),
+        (cf.DecoderConfig, "K", 2.5),
+        (cf.InteractionConfig, "k", True),
+    ])
+    def test_out_of_kind_value_is_refused(self, cls, name, value):
+        with pytest.raises(cf.ConfigError, match=f"^{name} must be "):
+            cls(**{name: value})
+
+
 # Library names of config leaves whose last dotted part differs.
 LEAF_ALIASES = {
     "K": "decoder.queries",
