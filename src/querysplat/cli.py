@@ -249,13 +249,9 @@ def cmd_pretrain(cfg, args):
 
 def _write_views(model, sample, out_dir, with_gt):
     head, _ = pt.decode_sample(model, sample)
-    gaussians = {
-        name: getattr(head, name).data
-        for name in ("mu", "quat", "scale", "opacity", "color")
-    }
     n = 0
     for k, cam in enumerate(sample.cameras):
-        out = rd.render(gaussians, cam)
+        out = rd.render(head, cam)
         write_ppm(os.path.join(out_dir, f"view{k}.ppm"), out.rgb)
         write_pfm(os.path.join(out_dir, f"view{k}.pfm"), out.depth)
         n += 2
@@ -401,10 +397,13 @@ def _gradcheck_renderer(seed, fault):
     n = 6
     mu = rng.uniform(-0.5, 0.5, size=(n, 3))
     quat = rng.normal(size=(n, 4))
-    quat /= np.linalg.norm(quat, axis=1, keepdims=True)
-    scale = rng.uniform(0.08, 0.25, size=(n, 3))
-    opacity = rng.uniform(0.3, 0.9, size=n)
-    color = rng.uniform(0.1, 0.9, size=(n, 3))
+    base = dec.DecodedGaussians(
+        mu=ad.constant(mu),
+        quat=ad.constant(quat / np.linalg.norm(quat, axis=1, keepdims=True)),
+        scale=ad.constant(rng.uniform(0.08, 0.25, size=(n, 3))),
+        opacity=ad.constant(rng.uniform(0.3, 0.9, size=n)),
+        color=ad.constant(rng.uniform(0.1, 0.9, size=(n, 3))),
+    )
     scene = sc.generate_scene(
         {"n_objects": 1, "bounds": [[-1, -1, -1], [1, 1, 1]],
          "n_views": 1, "image_size": (24, 24)},
@@ -413,21 +412,13 @@ def _gradcheck_renderer(seed, fault):
     cam = scene.cameras[0]
     cfg = rd.check_config()
     probe = rng.normal(size=(24, 24, 4))
-    base = {"mu": mu, "quat": quat, "scale": scale, "opacity": opacity,
-            "color": color}
 
     results = {}
-    for cls in ("mu", "quat", "scale", "opacity", "color"):
+    for cls in rd.FIELDS:
         def fn(t, cls=cls):
             if fault:
                 t = _fault_wrap(t)
-            parts = {
-                k: (t if k == cls else ad.constant(v)) for k, v in base.items()
-            }
-            node, _ = rd.render_node(
-                parts["mu"], parts["quat"], parts["scale"], parts["opacity"],
-                parts["color"], cam, cfg,
-            )
+            node, _ = rd.render_node(replace(base, **{cls: t}), cam, cfg)
             return ad.reduce_sum(node * ad.constant(probe))
 
         results[f"renderer.{cls}"] = ad.finite_difference_check(fn, base[cls])

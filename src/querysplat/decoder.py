@@ -4,9 +4,9 @@ per-group heads with constrained activations.
 
 Anchors are (K, ANCHOR_DIM) raw parameters in the column groups position,
 scale, quat and opacity that ANCHOR_COLUMNS declares. Query features are
-(K, D) and start at exactly zero every decode. Each refine layer runs
-voxelized sparse convolution, deformable cross-attention, and a feed-forward
-block, then updates the anchors. The sparse conv is one tape node with an
+(K, D); pre-training's query set starts them at exactly zero. Each refine
+layer runs voxelized sparse convolution, deformable cross-attention, and a
+feed-forward block, then updates the anchors. The sparse conv is one tape node with an
 analytic VJP, and so is the attention's projection, sampling of every
 (view, level) map and head mixing. In the anchor update the position head
 emits a delta in raw (pre-sigmoid) space while the scale, quat, and opacity
@@ -54,14 +54,19 @@ class GaussianQuerySet:
 
 @dataclass
 class DecodedGaussians:
-    """Activated Gaussian parameters as graph Tensors, plus diagnostics."""
+    """Activated Gaussian parameters as graph Tensors, plus diagnostics. The
+    fields run in GAUSSIAN_DTYPE order, and head["mu"] is head.mu.data, as on
+    a record array, so the renderer reads a decoded set like a scene's."""
 
     mu: ad.Tensor  # (K, 3)
-    scale: ad.Tensor  # (K, 3)
     quat: ad.Tensor  # (K, 4), unit norm
+    scale: ad.Tensor  # (K, 3)
     opacity: ad.Tensor  # (K,)
     color: ad.Tensor  # (K, 3)
-    degenerate_quats: int
+    degenerate_quats: int = 0
+
+    def __getitem__(self, name):
+        return getattr(self, name).data
 
 
 def _init_raw_scale_logit():
@@ -306,7 +311,7 @@ def _sample_and_mix(refs, pyramid, cameras, weights):
     """
     w = weights.data
     K, H, S = w.shape
-    maps = [lvl[vi] for vi in range(len(cameras)) for lvl in pyramid.levels]
+    maps = [lvl[vi] for vi in range(len(cameras)) for lvl in pyramid]
     B = len(maps)
     O = S // B
     D = maps[0].data.shape[2]
@@ -414,7 +419,7 @@ def gaussian_head(qs, store):
     opacity = ad.reshape(ad.sigmoid(raw_op), (qs.anchors.data.shape[0],))
     color = ad.sigmoid(_mlp2(store, "decoder.head.color", qs.features))
     return DecodedGaussians(
-        mu=mu, scale=scale, quat=quat, opacity=opacity, color=color,
+        mu=mu, quat=quat, scale=scale, opacity=opacity, color=color,
         degenerate_quats=degenerate,
     )
 
@@ -442,16 +447,12 @@ def refine_layer(qs, pyramid, cameras, cfg, store, layer_prefix):
 
 
 def decode(qs, pyramid, cameras, cfg, store):
-    """Run cfg.n_layers refine layers then the head.
+    """Run cfg.n_layers refine layers from qs, then the head.
 
-    Features are reset to exactly zero before the first layer; the incoming
-    query set is not mutated. Returns (DecodedGaussians, final query set).
+    pyramid is encoder.encode's pyramid[level][view]. The first layer starts
+    from qs's anchors and features as given (PretrainModel.query_set's are
+    exactly zero); qs is not mutated. Returns (DecodedGaussians, final qs).
     """
-    working = GaussianQuerySet(
-        anchors=qs.anchors,
-        features=ad.constant(np.zeros(qs.features.data.shape)),
-        bounds=qs.bounds,
-    )
     for i in range(cfg.n_layers):
-        working = refine_layer(working, pyramid, cameras, cfg, store, f"decoder.layer{i}")
-    return gaussian_head(working, store), working
+        qs = refine_layer(qs, pyramid, cameras, cfg, store, f"decoder.layer{i}")
+    return gaussian_head(qs, store), qs

@@ -16,7 +16,6 @@ laterals and the upsampling stay compositions of engine primitives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +25,6 @@ STRIDES = (4, 8, 16, 32)
 STAGE_WIDTHS = (16, 32, 64, 128)
 STEM_WIDTH = 16
 D_F = 32  # pyramid feature width
-
-
-@dataclass
-class FeaturePyramid:
-    """Per-view feature maps at strides 4, 8, 16, 32 (each (h, w, D_f))."""
-
-    levels: list  # levels[l][view] -> Tensor (h_l, w_l, D_F), stride STRIDES[l]
-
-    def __post_init__(self):
-        if len(self.levels) != len(STRIDES):
-            raise ValueError(f"expected {len(STRIDES)} levels, got {len(self.levels)}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,7 +131,7 @@ def encode_view(store, image):
     def p(name):
         return store[f"encoder.{name}"]
 
-    x = ad.relu(ad.layer_norm(conv2d(x, p("stem.w"), p("stem.b"), stride=2)))
+    x = _stage(x, store, "encoder.stem")
     taps = []
     for i in range(len(STAGE_WIDTHS)):
         x = _stage(x, store, f"encoder.stage{i}")
@@ -163,10 +151,10 @@ def encode_view(store, image):
 
 
 def encode(store, images):
-    """Encode N views (list of (H, W, 3) arrays/Tensors) into a FeaturePyramid."""
+    """Encode N views (list of (H, W, 3) arrays/Tensors) into the pyramid:
+    pyramid[level][view] is an (h, w, D_F) Tensor at stride STRIDES[level]."""
     per_view = [encode_view(store, img) for img in images]
-    levels = [[pv[l] for pv in per_view] for l in range(len(STRIDES))]
-    return FeaturePyramid(levels=levels)
+    return [[pv[l] for pv in per_view] for l in range(len(STRIDES))]
 
 
 def bilinear_sample_batch(level_map, pixels, stride, mask=None):

@@ -28,11 +28,11 @@ from .geometry import Camera
 from .scenes import SceneSample
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # fixed AdamW constants
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = DEFAULTS["pretrain"]["weight_decay"]
     step: int = 0
     m: dict = field(default_factory=dict)
@@ -99,7 +99,7 @@ def adamw_step(store, state, lr):
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, param in store.items():
         g = param.grad if param.grad is not None else np.zeros_like(param.data)
         if name not in state.m:
@@ -116,7 +116,7 @@ def adamw_step(store, state, lr):
         update *= lr
         denom = v / (1.0 - b2**t)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         update /= denom
         data = param.data * (1.0 - lr * state.weight_decay)
         data -= update
@@ -222,10 +222,7 @@ def forward(model, sample, w, render_config=None):
     loss = None
     outputs = []
     for v, cam in enumerate(sample.cameras):
-        node, out = rd.render_node(
-            head.mu, head.quat, head.scale, head.opacity, head.color,
-            cam, render_config,
-        )
+        node, out = rd.render_node(head, cam, render_config)
         pred_rgb = ad.narrow(node, 2, 0, 3)
         pred_depth = ad.reshape(ad.narrow(node, 2, 3, 1), sample.rgb[v].shape[:2])
         view_loss = reconstruction_loss(

@@ -28,7 +28,8 @@ and benchmark checks.
 
 Every entry point takes the Gaussians as anything whose fields mu, quat,
 scale, opacity and color index by name: a geometry.GAUSSIAN_DTYPE record
-array, or a dict of (K, ...) arrays such as render_node builds.
+array, a decoder.DecodedGaussians (whose Tensor fields index to their
+values), or a dict of (K, ...) arrays. render_node takes a DecodedGaussians.
 
 ``render_backward`` is a hand-derived analytic adjoint of the full pipeline
 (compositing, Gaussian footprint, projection, covariance construction); it is
@@ -56,6 +57,8 @@ __all__ = [
     "render_backward",
     "render_node",
 ]
+
+FIELDS = geo.GAUSSIAN_DTYPE.names  # render_node's parent order
 
 # Floor used for footprint/drop bookkeeping when the configured floor is 0
 # ("thresholds disabled"): contributions below this are numerically invisible
@@ -581,13 +584,7 @@ def _projection_backward(cache, g_mx, g_my, g_ia, g_ib, g_ic, g_op, g_dist, g_co
     K = arrays["mu"].shape[0]
     sel = prep["sel"]
 
-    out = {
-        "mu": np.zeros((K, 3)),
-        "quat": np.zeros((K, 4)),
-        "scale": np.zeros((K, 3)),
-        "opacity": np.zeros(K),
-        "color": np.zeros((K, 3)),
-    }
+    out = {name: np.zeros((K, *geo.GAUSSIAN_DTYPE[name].shape)) for name in FIELDS}
     if sel.shape[0] == 0:
         return out
 
@@ -657,38 +654,20 @@ def _projection_backward(cache, g_mx, g_my, g_ia, g_ib, g_ic, g_op, g_dist, g_co
 
 
 def render_node(
-    mu: ad.Tensor,
-    quat: ad.Tensor,
-    scale: ad.Tensor,
-    opacity: ad.Tensor,
-    color: ad.Tensor,
-    camera: Camera,
-    config: RenderConfig = DEFAULT_CONFIG,
+    gaussians, camera: Camera, config: RenderConfig = DEFAULT_CONFIG
 ) -> tuple[ad.Tensor, RenderOutput]:
-    """Differentiable rendering as one engine node with value (H, W, 4).
+    """Differentiable rendering of a decoder.DecodedGaussians as one engine
+    node with value (H, W, 4), whose parents are its FIELDS Tensors in order.
 
     Channels 0-2 are RGB; channel 3 is depth. Returns the node and the full
     RenderOutput (for alpha_acc diagnostics, which carry no gradient).
     """
-    arrays = {
-        "mu": mu.data,
-        "quat": quat.data,
-        "scale": scale.data,
-        "opacity": opacity.data,
-        "color": color.data,
-    }
-    out, cache = render_forward(arrays, camera, config)
+    out, cache = render_forward(gaussians, camera, config)
     value = np.concatenate([out.rgb, out.depth[..., None]], axis=2)
 
     def vjp(g):
         grads = render_backward(cache, g[..., 0:3], g[..., 3])
-        return (
-            grads["mu"],
-            grads["quat"],
-            grads["scale"],
-            grads["opacity"],
-            grads["color"],
-        )
+        return tuple(grads[name] for name in FIELDS)
 
-    node = ad.custom((mu, quat, scale, opacity, color), value, vjp, name="render")
-    return node, out
+    parents = tuple(getattr(gaussians, name) for name in FIELDS)
+    return ad.custom(parents, value, vjp, name="render"), out

@@ -232,8 +232,7 @@ def _attention_case(rng, cameras, level_sizes, K, O, H, c, refs):
 
     def pyramid(level_maps):
         L = len(enc.STRIDES)
-        levels = [[level_maps[v * L + li] for v in range(len(cameras))] for li in range(L)]
-        return enc.FeaturePyramid(levels=levels)
+        return [[level_maps[v * L + li] for v in range(len(cameras))] for li in range(L)]
 
     return Case(
         [refs] + maps + [weights],
@@ -285,9 +284,13 @@ def render_cases(rng):
     scene = random_scene(rng, 4, depth_range=(2.0, 3.5), spread=0.6)
     scene["opacity"] = rng.uniform(0.3, 0.9, size=4)
     config = rd.check_config()
+
+    def render(*fields):
+        return rd.render_node(dec.DecodedGaussians(*fields), cam, config)[0]
+
     return [Case(
         [scene[k] for k in ("mu", "quat", "scale", "opacity", "color")],
-        lambda *g: rd.render_node(*g, cam, config)[0],
+        render,
         lambda *g: composed_render(*g, cam, config),
         fd_tol=1e-4,
     )]

@@ -6,9 +6,12 @@ import pytest
 from querysplat import autodiff as ad
 from querysplat import decoder as dec
 from querysplat import encoder as enc
+from querysplat import geometry as geo
 from querysplat import renderer as rd
 from querysplat.decoder import DecoderConfig, GaussianQuerySet
 from querysplat.geometry import Camera
+
+from test_geometry import gaussian_records
 
 BOUNDS = np.array([[-2.0, -2.0, 0.0], [2.0, 2.0, 2.0]])
 
@@ -205,7 +208,7 @@ class TestDeformableAttention:
             for li, stride in enumerate(enc.STRIDES):
                 mats.append(
                     enc.bilinear_sample_batch(
-                        pyramid.levels[li][0 if cam is cameras[0] else 1],
+                        pyramid[li][0 if cam is cameras[0] else 1],
                         pix,
                         stride,
                     ).data
@@ -260,7 +263,7 @@ class TestDeformableAttention:
         pix = t[:, :2] / t[:, 2:3] * [cam.fx, cam.fy] + [cam.cx, cam.cy]
         feat = np.mean(
             [
-                enc.bilinear_sample_batch(pyramid.levels[li][0], pix, stride).data
+                enc.bilinear_sample_batch(pyramid[li][0], pix, stride).data
                 for li, stride in enumerate(enc.STRIDES)
             ],
             axis=0,
@@ -455,6 +458,21 @@ class TestRefineAndDecode:
         np.testing.assert_array_equal(head.mu.data, expected.mu.data)
         np.testing.assert_array_equal(head.scale.data, expected.scale.data)
 
+    def test_decoded_set_renders_like_its_record_array(self):
+        # The renderer reads a DecodedGaussians by field name, as it reads
+        # a GAUSSIAN_DTYPE record array holding the same values.
+        cfg = DecoderConfig(n_layers=1)
+        store, pyramid, cameras = make_setup(cfg)
+        head, _ = dec.decode(init_queries(cfg.K, BOUNDS, seed=33), pyramid, cameras, cfg, store)
+        records = gaussian_records(
+            **{name: getattr(head, name).data for name in geo.GAUSSIAN_DTYPE.names}
+        )
+        for cam in cameras:
+            a, b = rd.render(head, cam), rd.render(records, cam)
+            assert a.alpha_acc.max() > 0.0
+            for field in ("rgb", "depth", "alpha_acc"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
     def test_decode_deterministic(self):
         cfg = DecoderConfig(n_layers=2)
         store, pyramid, cameras = make_setup(cfg)
@@ -514,10 +532,7 @@ class TestRefineAndDecode:
                 anchors=full, features=ad.constant(np.zeros((4, 64))), bounds=BOUNDS
             )
             head, _ = dec.decode(qs, pyramid, cameras, cfg, store)
-            node, _ = rd.render_node(
-                head.mu, head.quat, head.scale, head.opacity, head.color,
-                corner, rd.check_config(),
-            )
+            node, _ = rd.render_node(head, corner, rd.check_config())
             depth = ad.narrow(ad.reshape(node, (16 * 16, 4)), 1, 3, 1)
             return ad.mean(depth)
 

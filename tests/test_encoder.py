@@ -74,15 +74,15 @@ class TestEncode:
     def test_level_sizes_64(self):
         store = make_store()
         pyramid = enc.encode(store, [np.zeros((64, 64, 3))])
-        sizes = [lvl[0].data.shape for lvl in pyramid.levels]
+        sizes = [lvl[0].data.shape for lvl in pyramid]
         assert sizes == [(16, 16, 32), (8, 8, 32), (4, 4, 32), (2, 2, 32)]
         assert enc.STRIDES == (4, 8, 16, 32)
 
     def test_rectangular_input(self):
         store = make_store()
         pyramid = enc.encode(store, [np.zeros((32, 96, 3))])
-        assert pyramid.levels[0][0].data.shape == (8, 24, 32)
-        assert pyramid.levels[3][0].data.shape == (1, 3, 32)
+        assert pyramid[0][0].data.shape == (8, 24, 32)
+        assert pyramid[3][0].data.shape == (1, 3, 32)
 
     def test_indivisible_size_rejected(self):
         store = make_store()
@@ -94,14 +94,14 @@ class TestEncode:
         rng = np.random.default_rng(5)
         img = rng.uniform(size=(32, 32, 3))
         pyramid = enc.encode(store, [img, img.copy()])
-        for lvl in pyramid.levels:
+        for lvl in pyramid:
             assert lvl[0].data.tobytes() == lvl[1].data.tobytes()
 
     def test_deterministic(self):
         store = make_store()
         img = np.random.default_rng(6).uniform(size=(32, 32, 3))
-        a = enc.encode(store, [img]).levels[0][0].data
-        b = enc.encode(store, [img]).levels[0][0].data
+        a = enc.encode(store, [img])[0][0].data
+        b = enc.encode(store, [img])[0][0].data
         assert a.tobytes() == b.tobytes()
 
     def test_translation_consistency_at_stride_32(self):
@@ -113,12 +113,12 @@ class TestEncode:
         p_orig = enc.encode(store, [x])
         p_shift = enc.encode(store, [shifted])
         # Level 32: cells whose receptive fields stay inside the overlap.
-        a = p_orig.levels[3][0].data
-        b = p_shift.levels[3][0].data
+        a = p_orig[3][0].data
+        b = p_shift[3][0].data
         np.testing.assert_allclose(b[:, 3], a[:, 2], atol=1e-9)
         # Level 4: the 32 px shift is 8 cells.
-        a4 = p_orig.levels[0][0].data
-        b4 = p_shift.levels[0][0].data
+        a4 = p_orig[0][0].data
+        b4 = p_shift[0][0].data
         np.testing.assert_allclose(b4[:, 28], a4[:, 20], atol=1e-9)
 
     def test_gradcheck_wrt_input_patch(self):

@@ -178,7 +178,7 @@ def adamw_oracle(store, state, lr):
     them in place, must match it bit for bit."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = pt.ADAM_BETA1, pt.ADAM_BETA2
     for name, param in store.items():
         g = param.grad if param.grad is not None else np.zeros_like(param.data)
         if name not in state.m:
@@ -189,7 +189,7 @@ def adamw_oracle(store, state, lr):
         m_hat = state.m[name] / (1.0 - b1**t)
         v_hat = state.v[name] / (1.0 - b2**t)
         param.data = param.data * (1.0 - lr * state.weight_decay)
-        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        param.data = param.data - lr * m_hat / (np.sqrt(v_hat) + pt.ADAM_EPS)
 
 
 class TestAdamW:

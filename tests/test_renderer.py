@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from querysplat import autodiff as ad
+from querysplat import decoder as dec
 from querysplat import geometry as geo
 from querysplat import renderer as rd
 from querysplat.geometry import Camera
@@ -428,22 +429,13 @@ def _render_scalar_loss(scene_arrays, replace_key, t, cam, w_rgb, w_depth):
     tensors = {
         k: (t if k == replace_key else ad.Tensor(v)) for k, v in scene_arrays.items()
     }
-    node, _ = rd.render_node(
-        tensors["mu"],
-        tensors["quat"],
-        tensors["scale"],
-        tensors["opacity"],
-        tensors["color"],
-        cam,
-        rd.check_config(),
-    )
+    gaussians = dec.DecodedGaussians(**tensors)
+    node, _ = rd.render_node(gaussians, cam, rd.check_config())
     flat = ad.reshape(node, (node.size,))
-    weights = np.concatenate([w_rgb.ravel(), w_depth.ravel()])
     # Interleave is avoided by weighting the packed (H, W, 4) layout directly.
     packed = np.concatenate(
         [w_rgb.reshape(-1, 3), w_depth.reshape(-1, 1)], axis=1
     ).ravel()
-    del weights
     return ad.reduce_sum(flat * ad.Tensor(packed))
 
 
@@ -515,6 +507,21 @@ class TestRenderBackward:
         _, cache = rd.render_forward(self.scene, self.cam)
         with pytest.raises(ValueError, match="shape"):
             rd.render_backward(cache, np.zeros((4, 4, 3)), np.zeros((4, 4)))
+
+    def test_render_node_parents_in_record_order(self):
+        # The parents are the set's fields in GAUSSIAN_DTYPE order, and each
+        # receives its own render_backward cotangent.
+        head = dec.DecodedGaussians(**{k: ad.Tensor(v) for k, v in self.scene.items()})
+        node, _ = rd.render_node(head, self.cam)
+        fields = (head.mu, head.quat, head.scale, head.opacity, head.color)
+        assert len(node._parents) == len(fields)
+        assert all(p is f for p, f in zip(node._parents, fields))
+        seed = np.concatenate([self.w_rgb, self.w_depth[..., None]], axis=2)
+        node.backward(seed)
+        _, cache = rd.render_forward(self.scene, self.cam)
+        want = rd.render_backward(cache, self.w_rgb, self.w_depth)
+        for name in geo.GAUSSIAN_DTYPE.names:
+            assert getattr(head, name).grad.tobytes() == want[name].tobytes(), name
 
     def test_backward_deterministic(self):
         out, cache = rd.render_forward(self.scene, self.cam)
