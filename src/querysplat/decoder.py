@@ -170,7 +170,7 @@ def init_decoder_params(store, rng, cfg):
     _init_mlp2(store, rng, "decoder.head.color", D, D, 3)
 
 
-_VOXEL_OFFSETS = list(itertools.product((-1, 0, 1), repeat=3))
+_VOXEL_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=3)))
 
 
 def _sparse_voxel_conv(pooled, weight, bias, pairs):
@@ -203,55 +203,54 @@ def _sparse_voxel_conv(pooled, weight, bias, pairs):
     return ad.custom((pooled, weight, bias), out, vjp, name="voxel_conv")
 
 
-def voxelize_and_sparse_conv(qs, voxel_size, store, prefix):
+def _voxel_table(vox):
+    """(slot, pairs) of a (K, 3) int64 voxel array: slot[i] indexes voxel i
+    among the distinct voxels in lexicographic order, and pairs[o] = (dst,
+    src) for offset _VOXEL_OFFSETS[o], as _sparse_voxel_conv takes them.
+
+    Coordinates pack into int64 keys with a one-voxel margin per side, so
+    a neighbour's key is the voxel's key plus its offset's.
+    """
+    base = vox.min(axis=0) - 1
+    span = vox.max(axis=0) - base + 2
+
+    def pack(coords):
+        return (coords[..., 0] * span[1] + coords[..., 1]) * span[2] + coords[..., 2]
+
+    keys, slot = np.unique(pack(vox - base), return_inverse=True)
+    cand = keys + pack(_VOXEL_OFFSETS)[:, None]  # (27, V)
+    pos = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
+    found = keys[pos] == cand
+    pairs = [(np.flatnonzero(hit), p[hit]) for hit, p in zip(found, pos)]
+    return slot, pairs
+
+
+def voxelize_and_sparse_conv(qs, mu, voxel_size, store, prefix):
     """Mean-pool query features into voxels, run one 3x3x3 sparse conv over
     occupied voxels, and scatter the result back residually.
 
-    Queries are reordered canonically (voxel id, then position) before
+    mu is the (K, 3) decode_positions Tensor of qs; only its values are
+    read. Queries are reordered canonically (voxel id, then position) before
     pooling so the float accumulation order - hence the result, bit for bit -
     does not depend on the incoming query order.
     """
     if voxel_size <= 0.0:
         raise ValueError("voxel_size must be positive")
     K = qs.features.data.shape[0]
-    mu = decode_positions(qs.anchors, qs.bounds)
-    origin = qs.bounds[0]
-    vox = np.floor((mu.data - origin) / voxel_size).astype(np.int64)
+    vox = np.floor((mu.data - qs.bounds[0]) / voxel_size).astype(np.int64)
+    slot, pairs = _voxel_table(vox)
 
     # Canonical query order: voxel, then decoded position.
-    uniq, inverse = np.unique(vox, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    order = np.lexsort(
-        (mu.data[:, 2], mu.data[:, 1], mu.data[:, 0], inverse)
-    )
+    order = np.lexsort((mu.data[:, 2], mu.data[:, 1], mu.data[:, 0], slot))
     inv_order = np.empty_like(order)
     inv_order[order] = np.arange(K)
-    slot_sorted = inverse[order]
+    slot_sorted = slot[order]
 
-    V = uniq.shape[0]
+    V = int(slot.max()) + 1
     feats_sorted = ad.gather(qs.features, order)
     sums = ad.scatter_add(feats_sorted, slot_sorted, V)
     counts = np.bincount(slot_sorted, minlength=V).astype(np.float64)
     pooled = sums * (1.0 / counts)[:, None]
-
-    # 3x3x3 neighborhood gather with a zero sentinel row for absent voxels.
-    # Coordinates pack collision-free into sorted scalar keys (np.unique
-    # returns rows lexicographically sorted), so lookups are searchsorted.
-    base = uniq.min(axis=0) - 1
-    span = uniq.max(axis=0) - base + 2
-
-    def _pack(coords):
-        s = coords - base
-        return (s[:, 0] * span[1] + s[:, 1]) * span[2] + s[:, 2]
-
-    keys = _pack(uniq)
-    pairs = []  # per offset: (voxels with that neighbor, the neighbor's slot)
-    for off in _VOXEL_OFFSETS:
-        cand = _pack(uniq + np.asarray(off))
-        pos = np.searchsorted(keys, cand)
-        pos_c = np.minimum(pos, V - 1)
-        dst = np.flatnonzero(keys[pos_c] == cand)
-        pairs.append((dst, pos_c[dst]))
     conv = _sparse_voxel_conv(
         pooled, store[f"{prefix}.voxconv.w"], store[f"{prefix}.voxconv.b"], pairs
     )
@@ -354,8 +353,9 @@ def _sample_and_mix(refs, pyramid, cameras, weights):
     return ad.custom((refs, *maps, weights), out, vjp, name="deformable_attention")
 
 
-def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
-    """Sample the pyramid at learned 3D offset points and mix per-head."""
+def deformable_cross_attention(qs, mu, pyramid, cameras, cfg, store, prefix):
+    """Sample the pyramid at learned 3D offset points around mu, the (K, 3)
+    decode_positions Tensor of qs, and mix per-head."""
     if len(cameras) == 0:
         raise ValueError("deformable attention needs at least one view")
     if len(cameras) != cfg.n_views:
@@ -364,7 +364,6 @@ def deformable_cross_attention(qs, pyramid, cameras, cfg, store, prefix):
     O, H = cfg.n_offsets, cfg.n_heads
     voxel_size = cfg.resolve_voxel_size(qs.bounds)
 
-    mu = decode_positions(qs.anchors, qs.bounds)  # (K, 3)
     raw_off = ad.linear(
         qs.features, store[f"{prefix}.attn.offset.w"], store[f"{prefix}.attn.offset.b"]
     )
@@ -428,11 +427,13 @@ def refine_layer(qs, pyramid, cameras, cfg, store, layer_prefix):
     """One decoder layer: interaction blocks, then anchor update.
 
     The position head emits a raw-space delta; scale, quat, and opacity raws
-    are replaced by their head outputs. Features carry forward.
+    are replaced by their head outputs. Features carry forward. Both
+    interaction blocks read the layer's one decode of the anchor positions.
     """
     voxel_size = cfg.resolve_voxel_size(qs.bounds)
-    qs = voxelize_and_sparse_conv(qs, voxel_size, store, layer_prefix)
-    qs = deformable_cross_attention(qs, pyramid, cameras, cfg, store, layer_prefix)
+    mu = decode_positions(qs.anchors, qs.bounds)
+    qs = voxelize_and_sparse_conv(qs, mu, voxel_size, store, layer_prefix)
+    qs = deformable_cross_attention(qs, mu, pyramid, cameras, cfg, store, layer_prefix)
     ffn_out = _mlp2(store, f"{layer_prefix}.ffn", qs.features)
     features = ad.add(qs.features, ffn_out)
 

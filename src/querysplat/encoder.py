@@ -7,10 +7,9 @@ uniform width, nearest-neighbor top-down upsampling with addition, and a 3x3
 smoothing conv per level.
 
 Feature maps are channels-last (H, W, C) autodiff Tensors. Each 3x3 conv is
-one tape node with an analytic VJP: an im2col gather against the flattened
-input with an appended all-zero sentinel row (the zero padding), then one
-matmul; its cached gather index is built once per map size. The 1x1
-laterals and the upsampling stay compositions of engine primitives.
+one tape node with an analytic VJP: im2col rows taken as nine strided
+slices of the zero-padded input, then one matmul. The 1x1 laterals and the
+upsampling stay compositions of engine primitives.
 """
 
 from __future__ import annotations
@@ -27,45 +26,36 @@ STEM_WIDTH = 16
 D_F = 32  # pyramid feature width
 
 
-@functools.lru_cache(maxsize=None)
-def _conv_indices(h, w, stride):
-    """Flat im2col gather indices (h_out * w_out * 9,) for a 3x3 conv.
-
-    Out-of-bounds taps point at the sentinel row h*w (zero padding). The
-    index is cached per (h, w, stride) and returned read-only.
-    """
-    h_out = (h + 1) // 2 if stride == 2 else h
-    w_out = (w + 1) // 2 if stride == 2 else w
-    oy, ox = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
-    ky, kx = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-    iy = oy[:, :, None, None] * stride + ky[None, None] - 1
-    ix = ox[:, :, None, None] * stride + kx[None, None] - 1
-    inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    flat = np.where(inside, iy * w + ix, h * w).reshape(-1)
-    flat.setflags(write=False)
-    return flat, h_out, w_out
-
-
 def conv2d(x, weight, bias, stride=1):
     """3x3 convolution with zero padding 1 on a (h, w, c_in) Tensor.
 
     weight: (9 * c_in, c_out) with taps ordered (ky, kx, c_in); bias (c_out,).
-    One tape node: the forward gathers the im2col rows from the input with
-    an appended zero sentinel row and multiplies them by the weight; the VJP
-    scatters the rows' cotangent back with one bincount.
+    One tape node: the forward pads the input once, fills the im2col rows
+    from nine strided slices of it and multiplies them by the weight; the
+    VJP adds the rows' cotangent back through the same slices.
     """
     h, w, c_in = x.data.shape
     c_out = weight.data.shape[1]
-    index, h_out, w_out = _conv_indices(h, w, stride)
-    padded = np.concatenate([x.data.reshape(h * w, c_in), np.zeros((1, c_in))])
-    cols = padded[index].reshape(h_out * w_out, 9 * c_in)
+    h_out, w_out = -(-h // stride), -(-w // stride)
+
+    def tap(a, t):  # the (h_out, w_out) window of padded a read by tap t
+        return a[t // 3 :: stride, t % 3 :: stride][:h_out, :w_out]
+
+    padded = np.zeros((h + 2, w + 2, c_in))
+    padded[1:-1, 1:-1] = x.data
+    cols = np.stack([tap(padded, t) for t in range(9)], 2).reshape(h_out * w_out, -1)
     out = cols @ weight.data + bias.data
 
     def vjp(g):
         g = g.reshape(h_out * w_out, c_out)
-        g_cols = (g @ weight.data.T).reshape(h_out * w_out * 9, c_in)
-        g_x = ad._index_add((h * w + 1, c_in), index, g_cols)[: h * w]
-        return g_x.reshape(h, w, c_in), cols.T @ g, g.sum(axis=0)
+        g_cols = (g @ weight.data.T).reshape(h_out, w_out, 9, c_in)
+        # An input pixel's taps come from outputs in descending tap order,
+        # so adding the taps in reverse sums each pixel's terms in output
+        # order, the order of a scatter over the im2col rows.
+        g_padded = np.zeros((h + 2, w + 2, c_in))
+        for t in reversed(range(9)):
+            tap(g_padded, t)[...] += g_cols[:, :, t]
+        return g_padded[1:-1, 1:-1], cols.T @ g, g.sum(axis=0)
 
     return ad.custom(
         (x, weight, bias), out.reshape(h_out, w_out, c_out), vjp, name="conv2d"

@@ -100,10 +100,10 @@ def knn_neighbors(task_positions, anchor_positions, k):
     (t - a)**2 over the last axis.  A bounded scan (_scan_columns) settles
     most rows from 8k anchors each; the rest go through the full search in
     blocks of _KNN_CHUNK rows.  There each row's k candidates come from a
-    partial select and are then ordered by (distance, index); a row whose
-    k-th distance is tied with an anchor outside the candidates falls back
-    to a full stable sort.  So the result equals a stable argsort of the
-    squared distances bit for bit.
+    partial select and are then ordered by (distance, index); the rows
+    whose k-th distance is tied with an anchor outside the candidates are
+    ordered together by one sort of their entries not above it.  So the
+    result equals a stable argsort of the squared distances bit for bit.
     """
     tp = np.asarray(task_positions, dtype=np.float64)
     ap = np.asarray(anchor_positions, dtype=np.float64)
@@ -196,8 +196,15 @@ def _k_smallest(d2, k):
     # unique k smallest; otherwise (a tie at the boundary, or NaN) the
     # partial select may have picked the wrong index among equals.
     kth = np.take_along_axis(d2, part[:, k - 1 : k], axis=1)
-    for r in np.flatnonzero((d2 <= kth).sum(axis=1) != k):
-        idx[r] = np.argsort(d2[r], kind="stable")[:k]
+    tied = np.flatnonzero((d2 <= kth).sum(axis=1) != k)
+    # A tied row's k smallest are among its values not above the k-th one
+    # (all of them if that is NaN), and NaN sorts last: one sort of those by
+    # (row, value, index) orders every tied row as its stable argsort would.
+    sub = d2[tied]
+    rows, cols = np.nonzero(~(sub > kth[tied]))
+    order = np.lexsort((cols, sub[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(tied.size))
+    idx[tied] = cols[order[starts[:, None] + np.arange(k)]]
     return idx
 
 

@@ -49,10 +49,22 @@ class Case:
 # ---------------------------------------------------------------------------
 
 
+def conv_indices(h, w, stride):
+    """Flat im2col gather indices (h_out * w_out * 9,) for a 3x3 conv, with
+    out-of-bounds taps pointing at the sentinel row h*w (zero padding)."""
+    h_out, w_out = -(-h // stride), -(-w // stride)
+    oy, ox = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
+    ky, kx = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    iy = oy[:, :, None, None] * stride + ky[None, None] - 1
+    ix = ox[:, :, None, None] * stride + kx[None, None] - 1
+    inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+    return np.where(inside, iy * w + ix, h * w).reshape(-1), h_out, w_out
+
+
 def composed_conv2d(x, weight, bias, stride):
     """The 3x3 conv as reshape, zero sentinel row, im2col gather and linear."""
     h, w, c_in = x.data.shape
-    index, h_out, w_out = enc._conv_indices(h, w, stride)
+    index, h_out, w_out = conv_indices(h, w, stride)
     flat = ad.reshape(x, (h * w, c_in))
     padded = ad.concat([flat, ad.constant(np.zeros((1, c_in)))], axis=0)
     cols = ad.reshape(ad.gather(padded, index), (h_out * w_out, 9 * c_in))

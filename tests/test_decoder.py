@@ -1,7 +1,11 @@
 """Tests for the Gaussian query decoder."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from querysplat import autodiff as ad
 from querysplat import decoder as dec
@@ -55,6 +59,11 @@ def random_queries(K, seed=0, feature_dim=64, features=None):
     return GaussianQuerySet(
         anchors=ad.Tensor(anchors), features=ad.Tensor(features), bounds=BOUNDS
     )
+
+
+def positions(qs):
+    """The decoded positions that refine_layer hands both interaction blocks."""
+    return dec.decode_positions(qs.anchors, qs.bounds)
 
 
 class TestAnchorColumns:
@@ -120,13 +129,13 @@ class TestVoxelize:
         w[13 * 64 : 14 * 64] = np.eye(64)  # center tap of the 3x3x3 kernel
         store[name].data = w
         qs = random_queries(1, seed=6)
-        out = dec.voxelize_and_sparse_conv(qs, 0.5, store, "decoder.layer0")
+        out = dec.voxelize_and_sparse_conv(qs, positions(qs), 0.5, store, "decoder.layer0")
         np.testing.assert_allclose(out.features.data, 2.0 * qs.features.data, atol=1e-12)
 
     def test_permutation_oracle_bit_identical(self):
         store = self._store()
         qs = random_queries(32, seed=7)
-        base = dec.voxelize_and_sparse_conv(qs, 0.4, store, "decoder.layer0")
+        base = dec.voxelize_and_sparse_conv(qs, positions(qs), 0.4, store, "decoder.layer0")
 
         rng = np.random.default_rng(8)
         perm = rng.permutation(32)
@@ -135,7 +144,9 @@ class TestVoxelize:
             features=ad.Tensor(qs.features.data[perm]),
             bounds=BOUNDS,
         )
-        out_p = dec.voxelize_and_sparse_conv(qs_p, 0.4, store, "decoder.layer0")
+        out_p = dec.voxelize_and_sparse_conv(
+            qs_p, positions(qs_p), 0.4, store, "decoder.layer0"
+        )
         restored = out_p.features.data[np.argsort(perm)]
         assert restored.tobytes() == base.features.data.tobytes()
 
@@ -149,7 +160,7 @@ class TestVoxelize:
             features=ad.Tensor(np.random.default_rng(10).normal(size=(2, 64))),
             bounds=BOUNDS,
         )
-        out = dec.voxelize_and_sparse_conv(qs, 10.0, store, "decoder.layer0")
+        out = dec.voxelize_and_sparse_conv(qs, positions(qs), 10.0, store, "decoder.layer0")
         # The reconstruction (f + u) - f reintroduces one-ulp noise, so
         # compare the shared update at tight tolerance rather than bitwise.
         update = out.features.data - qs.features.data
@@ -157,8 +168,9 @@ class TestVoxelize:
 
     def test_bad_voxel_size(self):
         store = self._store()
+        qs = random_queries(4)
         with pytest.raises(ValueError, match="voxel_size"):
-            dec.voxelize_and_sparse_conv(random_queries(4), 0.0, store, "decoder.layer0")
+            dec.voxelize_and_sparse_conv(qs, positions(qs), 0.0, store, "decoder.layer0")
 
     def test_gradcheck_features(self):
         store = self._store()
@@ -168,19 +180,66 @@ class TestVoxelize:
 
         def fn(t):
             qs = GaussianQuerySet(anchors=ad.constant(anchors), features=t, bounds=BOUNDS)
-            out = dec.voxelize_and_sparse_conv(qs, 0.6, store, "decoder.layer0")
+            out = dec.voxelize_and_sparse_conv(
+                qs, positions(qs), 0.6, store, "decoder.layer0"
+            )
             return ad.reduce_sum(out.features * ad.constant(seed_w))
 
         assert ad.finite_difference_check(fn, feat0) < 1e-5
+
+
+def brute_voxel_table(vox):
+    """_voxel_table's oracle: slots from the sorted distinct coordinate
+    tuples, neighbours by dict lookup, offsets in (dx, dy, dz) product order."""
+    cells = sorted({tuple(v) for v in vox.tolist()})
+    slot_of = {c: i for i, c in enumerate(cells)}
+    slot = [slot_of[tuple(v)] for v in vox.tolist()]
+    pairs = []
+    for off in itertools.product((-1, 0, 1), repeat=3):
+        hits = [
+            (i, slot_of[n])
+            for i, c in enumerate(cells)
+            if (n := tuple(a + b for a, b in zip(c, off))) in slot_of
+        ]
+        pairs.append(([d for d, _ in hits], [s for _, s in hits]))
+    return slot, pairs
+
+
+BLOCK = list(itertools.product((-1, 0, 1), repeat=3))
+
+
+class TestVoxelTable:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=40
+        ),
+        shift=st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+    )
+    @example(cells=[(0, 0, 0)], shift=(0, 0, 0))
+    @example(cells=[(-7, 3, -2)], shift=(0, 0, 0))
+    @example(cells=BLOCK, shift=(-5, 0, 9))
+    @example(cells=BLOCK[::-1] + BLOCK[::3], shift=(0, 0, 0))
+    @example(cells=[(2, -1, 0)] * 5 + [(3, -1, 0)] * 2, shift=(-3, -3, -3))
+    def test_matches_brute_force_lookup(self, cells, shift):
+        vox = np.array(cells, dtype=np.int64) + np.array(shift, dtype=np.int64)
+        slot, pairs = dec._voxel_table(vox)
+        want_slot, want_pairs = brute_voxel_table(vox)
+        assert slot.tolist() == want_slot
+        assert len(pairs) == len(want_pairs) == 27
+        for (dst, src), (want_dst, want_src) in zip(pairs, want_pairs):
+            assert dst.tolist() == want_dst
+            assert src.tolist() == want_src
 
 
 class TestDeformableAttention:
     def test_zero_views_rejected(self):
         cfg = DecoderConfig(n_layers=1, n_views=1)
         store, pyramid, _ = make_setup(cfg)
+        qs = random_queries(4)
         with pytest.raises(ValueError, match="view"):
             dec.deformable_cross_attention(
-                random_queries(4), pyramid, [], cfg, store, "decoder.layer0"
+                qs, positions(qs), pyramid, [], cfg, store, "decoder.layer0"
             )
 
     def test_uniform_logits_give_mean_of_samples(self):
@@ -194,7 +253,9 @@ class TestDeformableAttention:
             store[f"{lp}.attn.offset.w"].data
         )
         qs = random_queries(5, seed=14)
-        out = dec.deformable_cross_attention(qs, pyramid, cameras, cfg, store, lp)
+        out = dec.deformable_cross_attention(
+            qs, positions(qs), pyramid, cameras, cfg, store, lp
+        )
         update = out.features.data - qs.features.data
 
         # Oracle: with zero offsets all reference points coincide with mu, so
@@ -228,7 +289,7 @@ class TestDeformableAttention:
         cameras = [Camera(intrinsics=cam.intrinsics, extrinsics=T, image_size=cam.image_size)]
         qs = random_queries(6, seed=15)
         out = dec.deformable_cross_attention(
-            qs, pyramid, cameras, cfg, store, "decoder.layer0"
+            qs, positions(qs), pyramid, cameras, cfg, store, "decoder.layer0"
         )
         np.testing.assert_array_equal(out.features.data, qs.features.data)
 
@@ -247,7 +308,9 @@ class TestDeformableAttention:
         store[f"{lp}.attn.logit.w"].data = np.zeros_like(
             store[f"{lp}.attn.logit.w"].data
         )
-        out = dec.deformable_cross_attention(qs, pyramid, cameras, cfg, store, lp)
+        out = dec.deformable_cross_attention(
+            qs, positions(qs), pyramid, cameras, cfg, store, lp
+        )
         update = out.features.data - qs.features.data
 
         # Oracle: one view and one offset, so each level holds one sample
@@ -281,7 +344,7 @@ class TestDeformableAttention:
         def fn(t):
             qs = GaussianQuerySet(anchors=ad.constant(anchors), features=t, bounds=BOUNDS)
             out = dec.deformable_cross_attention(
-                qs, pyramid, cameras, cfg, store, "decoder.layer0"
+                qs, positions(qs), pyramid, cameras, cfg, store, "decoder.layer0"
             )
             return ad.reduce_sum(out.features * ad.constant(seed_w))
 

@@ -1,6 +1,7 @@
 """Tests for the pre-training engine: loss, schedule, AdamW, augmentation,
 and the optimization loop."""
 
+import hashlib
 import os
 import shutil
 import tracemalloc
@@ -556,3 +557,20 @@ def one_step_peak_bytes():
 def test_one_step_peak_memory():
     peak = one_step_peak_bytes()
     assert peak <= 0.75 * TAPE_PEAK_BEFORE, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_full_size_steps_are_pinned():
+    """Three steps of criterion 7's model give the pinned losses and anchors.
+
+    The golden CLI digests run 32x32 views, whose 8x8 level-0 maps the
+    sampler always reads through its dense branch; 64x64 views take the
+    gather branch at level 0, so this digest pins that path's bits.
+    """
+    scene = sc.generate_scene(OVERFIT_SPEC, seed=0)
+    sample = sc.bake_ground_truth(scene)
+    model = pt.build_model(scene.bounds, dec.DecoderConfig(n_views=4, K=512, n_layers=2), seed=0)
+    opt, w = pt.OptimizerState(), pt.LossWeights()
+    losses = [pt.pretrain_step(model, sample, opt, w, 2e-4) for _ in range(3)]
+    anchors = model.store["queries.anchors"].data
+    digest = hashlib.sha256(np.array(losses).tobytes() + anchors.tobytes()).hexdigest()
+    assert digest == "201f4adf01c66200a85aa829d647a140b50d8e23150a4418127dd7a341e81e2d"
