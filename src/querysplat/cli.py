@@ -154,14 +154,17 @@ def _load_dataset(dirs):
 
 
 def cmd_gen_data(cfg, args):
+    """Write the dataset whole or not at all: scenes go to a sibling
+    scenes.partial/, renamed to scenes/ after the last one."""
     out = cfg["out_dir"]
     scenes_root = os.path.join(out, "scenes")
     if os.path.isdir(scenes_root) and os.listdir(scenes_root) and not args.force:
         raise UsageError(
             f"{scenes_root} already holds data; pass --force to overwrite"
         )
-    if args.force and os.path.isdir(scenes_root):
-        shutil.rmtree(scenes_root)  # no scene or view of an earlier dataset stays
+    partial = scenes_root + ".partial"
+    if os.path.isdir(partial):
+        shutil.rmtree(partial)  # left by an interrupted run
     cf.write_resolved(cfg, out)
     data = cfg["data"]
     for i in range(data["n_scenes"]):
@@ -170,14 +173,18 @@ def cmd_gen_data(cfg, args):
         sample = sc.sparsify_depth(
             sc.bake_ground_truth(scene), data["keep_rate"], seed=scene_seed
         )
-        d = os.path.join(scenes_root, f"{i:04d}")
-        os.makedirs(d, exist_ok=True)
+        d = os.path.join(partial, f"{i:04d}")
+        os.makedirs(d)
         sc.save_scene(os.path.join(d, "scene.bin"), scene)
         for k in range(sample.n_views):
             write_ppm(os.path.join(d, f"view{k}.ppm"), sample.rgb[k])
             write_pfm(os.path.join(d, f"view{k}.pfm"), sample.dense_depth[k])
             write_mask(os.path.join(d, f"mask{k}.bin"), sample.valid_mask[k])
-        print(f"scene {i:04d}: {len(scene.gaussians)} gaussians -> {d}")
+        final = os.path.join(scenes_root, f"{i:04d}")
+        print(f"scene {i:04d}: {len(scene.gaussians)} gaussians -> {final}")
+    if os.path.isdir(scenes_root):
+        shutil.rmtree(scenes_root)  # empty, or --force: no earlier scene or view stays
+    os.rename(partial, scenes_root)
     print(f"wrote {data['n_scenes']} scenes under {scenes_root}")
     return 0
 

@@ -109,7 +109,7 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"config file not found: {path}")
         except OSError as e:
             raise ConfigError(f"config file {path} cannot be read: {e.strerror}")
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
             raise ConfigError(f"config file {path} is not valid JSON: {e}")
         if not isinstance(document, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
@@ -276,15 +276,19 @@ class InteractionConfig(_Leaves):
 
 
 def validate(cfg):
-    """Check every leaf against SCHEMA and total_steps > warmup_steps, then
-    build the decoder config so its divisibility checks run. The document is
-    left as it is."""
+    """Check every leaf against SCHEMA, total_steps > warmup_steps and that
+    each scene's seed fits a scene file's uint64, then build the decoder
+    config so its divisibility checks run. The document is left as it is."""
     for dotted in SCHEMA:
         _check(_lookup(cfg, dotted), dotted, dotted)
     p = cfg["pretrain"]
     if p["total_steps"] <= p["warmup_steps"]:
         raise ConfigError("pretrain.total_steps must exceed pretrain.warmup_steps "
                           f"({p['total_steps']} <= {p['warmup_steps']})")
+    seed, n_scenes = cfg["seed"], cfg["data"]["n_scenes"]
+    if seed + n_scenes - 1 >= 2**64:  # scene i takes seed + i
+        raise ConfigError("seed + data.n_scenes - 1 must be below 2**64, "
+                          f"got {seed} + {n_scenes} - 1")
     decoder_config(cfg)
 
 

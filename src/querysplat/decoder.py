@@ -69,24 +69,18 @@ class DecodedGaussians:
         return getattr(self, name).data
 
 
-def _init_raw_scale_logit():
-    """Raw scale whose activation gives INIT_SCALE_FRACTION of the extent.
-
-    The ratio is extent-independent: sigmoid(x) = (0.02 - 0.001) / 0.249.
-    """
-    target = (INIT_SCALE_FRACTION - SCALE_RANGE[0]) / (SCALE_RANGE[1] - SCALE_RANGE[0])
-    return float(np.log(target / (1.0 - target)))
-
-
 def _logit(p):
     return float(np.log(p / (1.0 - p)))
 
 
 # Final biases of the anchor-update heads, per ANCHOR_COLUMNS group: a zero
-# position delta, 2%-extent scales, identity rotations, and opacity 0.1.
+# position delta, 2%-extent scales, identity rotations, and opacity 0.1. The
+# scale bias is extent-independent: its sigmoid is (0.02 - 0.001) / 0.249.
 _HEAD_BIASES = {
     "pos": np.zeros(3),
-    "scale": np.full(3, _init_raw_scale_logit()),
+    "scale": np.full(3, _logit(
+        (INIT_SCALE_FRACTION - SCALE_RANGE[0]) / (SCALE_RANGE[1] - SCALE_RANGE[0])
+    )),
     "quat": np.array([1.0, 0.0, 0.0, 0.0]),
     "opacity": np.array([_logit(INIT_OPACITY)]),
 }

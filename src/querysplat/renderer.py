@@ -371,19 +371,19 @@ def _composite_pairs(prep, width: int, height: int, config: RenderConfig):
 # ---------------------------------------------------------------------------
 
 
-def _composite_block(px, py, prep, slots, config, want_internals=False):
+def _composite_block(px, py, prep, slots, config):
     """Composite the Gaussians at ``slots`` over the pixel block py x px.
 
     Per pixel this is the front-to-back compositing of the module docstring:
     the transmittance recursion is a sequential cumulative product over the
-    sorted slots.
+    sorted slots. Returns (rgb, depth, alpha_acc, wgt), where wgt (L, h, w)
+    holds each slot's compositing weight at each pixel.
     """
     h, w = py.shape[0], px.shape[0]
     L = slots.shape[0]
     if L == 0:
         zero = np.zeros((h, w))
-        out = (np.zeros((h, w, 3)), zero, zero.copy())
-        return (out + (None,)) if want_internals else out
+        return np.zeros((h, w, 3)), zero, zero.copy(), np.zeros((0, h, w))
 
     mx = prep["mx"][slots][:, None, None]
     my = prep["my"][slots][:, None, None]
@@ -425,22 +425,7 @@ def _composite_block(px, py, prep, slots, config, want_internals=False):
     frozen = np.take_along_axis(T_ext, first[None], axis=0)[0]
     T_final = np.where(any_below, frozen, T_incl[-1])
     alpha_acc = 1.0 - T_final
-
-    out = (rgb, depth, alpha_acc)
-    if want_internals:
-        internals = {
-            "dx": dx,
-            "dy": dy,
-            "q": q,
-            "e": e,
-            "araw": araw,
-            "a": a,
-            "T_excl": T_excl,
-            "active": active,
-            "wgt": wgt,
-        }
-        return out + (internals,)
-    return out
+    return rgb, depth, alpha_acc, wgt
 
 
 def _validate_size(camera: Camera) -> tuple[int, int]:
@@ -468,7 +453,7 @@ def render_reference(
     for y0 in range(0, height, band):
         y1 = min(y0 + band, height)
         py = np.arange(y0, y1, dtype=np.float64)
-        r, d, acc = _composite_block(px, py, prep, slots, config)
+        r, d, acc, _ = _composite_block(px, py, prep, slots, config)
         rgb[y0:y1] = r
         depth[y0:y1] = d
         alpha_acc[y0:y1] = acc

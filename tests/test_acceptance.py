@@ -168,10 +168,8 @@ class TestAcceptance:
         slots = np.arange(prep["mx"].shape[0])
         px = np.arange(64, dtype=np.float64)
         py = np.arange(64, dtype=np.float64)
-        _, _, acc, intern = rd._composite_block(
-            px, py, prep, slots, rd.DEFAULT_CONFIG, want_internals=True
-        )
-        sum_err = float(np.max(np.abs(intern["wgt"].sum(axis=0) - acc)))
+        _, _, acc, wgt = rd._composite_block(px, py, prep, slots, rd.DEFAULT_CONFIG)
+        sum_err = float(np.max(np.abs(wgt.sum(axis=0) - acc)))
 
         # Hand-expanded two-splat compositing case.
         color, depth, _ = alpha_composite(

@@ -27,7 +27,7 @@ import querysplat.scenes as sc
 from querysplat import cli
 from querysplat import config as cf
 from querysplat.checkpoint import load_checkpoint, save_checkpoint
-from querysplat.images import read_pfm, write_mask, write_pfm, write_ppm
+from querysplat.images import write_mask, write_pfm, write_ppm
 
 TINY = {
     "seed": 0,
@@ -68,6 +68,15 @@ def tree_bytes(root):
 def read_csv_lines(path):
     with open(path) as f:
         return f.read().splitlines()
+
+
+def pfm_depth(path, width, height):
+    """A render's depth map: the PFM's fixed header is checked and its
+    bottom-up little-endian float32 payload decoded in place."""
+    data = pathlib.Path(path).read_bytes()
+    header = f"Pf\n{width} {height}\n-1.0\n".encode("ascii")
+    assert data[: len(header)] == header
+    return np.frombuffer(data, "<f4", offset=len(header)).reshape(height, width)[::-1]
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +186,33 @@ class TestUsageAndExitCodes:
         bad.write_text(json.dumps({"out_dir": 5}))
         assert run("gen-data", "--config", bad) == 1
         assert capsys.readouterr().err == "error: out_dir must be a non-empty string, got 5\n"
+
+    def test_deeply_nested_config_is_not_valid_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"data":' + "[" * 200_000 + "]" * 200_000 + "}")
+        assert run("gen-data", "--config", deep, "--out-dir", tmp_path / "o") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: config file {deep} is not valid JSON: ")
+
+    @pytest.mark.parametrize("seed, n_scenes", [(2**64, 1), (2**64 - 1, 2), (2**70, 3)])
+    def test_seed_past_the_scene_files_uint64_is_refused(self, tmp_path, capsys,
+                                                         seed, n_scenes):
+        out = tmp_path / "o"
+        assert run("gen-data", "--seed", seed, "--n-scenes", n_scenes, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed + data.n_scenes - 1 must be below 2**64, got {seed} + {n_scenes} - 1\n"
+        )
+        assert not out.exists()  # refused before any write
+
+    def test_seed_env_past_the_scene_files_uint64_is_refused(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setenv("SQS_SEED", str(2**64))
+        out = tmp_path / "o"
+        assert run("gen-data", "--n-scenes", 1, "--out-dir", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: seed "), err
+        assert not out.exists()
 
     def test_pretrain_requires_data(self, ws, tmp_path):
         _, cfg = ws
@@ -432,6 +468,36 @@ class TestGenData:
         ]
 
 
+    def test_failed_write_leaves_no_dataset(self, ws, dataset, tmp_path, capsys,
+                                            monkeypatch):
+        # The dataset appears whole or not at all; a plain rerun then succeeds.
+        _, cfg = ws
+        out = tmp_path / "failed"
+        write_mask = cli.write_mask
+
+        def failing_write_mask(path, mask):
+            if os.path.basename(os.path.dirname(path)) == "0001":
+                raise OSError("no space left on device")
+            write_mask(path, mask)
+
+        monkeypatch.setattr(cli, "write_mask", failing_write_mask)
+        assert run("gen-data", "--config", cfg, "--out-dir", out) == 1
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert not (out / "scenes").exists()
+        monkeypatch.undo()
+        assert run("gen-data", "--config", cfg, "--out-dir", out) == 0
+        assert not (out / "scenes.partial").exists()
+        assert tree_bytes(out / "scenes") == tree_bytes(os.path.join(dataset, "scenes"))
+
+    def test_stdout_names_the_final_scene_paths(self, ws, tmp_path, capsys):
+        _, cfg = ws
+        out = tmp_path / "named"
+        assert run("gen-data", "--config", cfg, "--out-dir", out, "--n-scenes", 1) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(f"-> {out / 'scenes' / '0000'}")
+        assert lines[1] == f"wrote 1 scenes under {out / 'scenes'}"
+
+
 class TestPretrain:
     def test_outputs(self, pretrained):
         lines = read_csv_lines(os.path.join(pretrained, "loss.csv"))
@@ -605,7 +671,7 @@ def finite_outputs(command, out):
     """Whether a command that exited 0 left only finite numbers behind."""
     if command == "render":
         return all(
-            np.isfinite(read_pfm(str(out / "render" / name))).all()
+            np.isfinite(pfm_depth(out / "render" / name, *TINY["data"]["image_size"])).all()
             for name in os.listdir(out / "render") if name.endswith(".pfm")
         )
     csv_name, ckpt = {
@@ -701,7 +767,7 @@ class TestRender:
                    "--scene", os.path.join(dataset, "scenes", "0000"),
                    "--out-dir", out)
         assert code == 0
-        depth = read_pfm(str(out / "render" / "view0.pfm"))
+        depth = pfm_depth(out / "render" / "view0.pfm", *TINY["data"]["image_size"])
         assert np.all(np.isfinite(depth))
 
     def test_non_square_views_match_ground_truth_size(self, tmp_path):
@@ -727,7 +793,7 @@ class TestRender:
 
         assert header("view0_gt.ppm") == b"P6\n64 32\n"
         assert header("view0.ppm") == header("view0_gt.ppm")
-        assert read_pfm(str(out / "render" / "view0.pfm")).shape == (32, 64)
+        pfm_depth(out / "render" / "view0.pfm", 64, 32)  # a 64x32 header and payload
 
     def test_mismatched_checkpoint_dims_rejected(self, ws, dataset, pretrained,
                                                  tmp_path, capsys):

@@ -4,27 +4,23 @@ its documented error.
 Each reader starts from a valid file, which is then truncated, flipped at a
 few bytes, overwritten in its header, or given trailing bytes. Whatever the
 damage, the reader must return a value or raise its own format error
-(ImageFormatError, SceneFormatError, CheckpointError), never another
-exception. A reader must not warn on the way either: a NumPy RuntimeWarning
-(an overflow while validating, say) fails the test.
+(ImageFormatError, SceneFormatError, CheckpointError, ConfigError), never
+another exception. A reader must not warn on the way either: a NumPy
+RuntimeWarning (an overflow while validating, say) fails the test.
 """
+
+import json
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from querysplat import config as cf
 from querysplat import scenes as sc
 from querysplat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from querysplat.images import (
-    ImageFormatError,
-    read_mask,
-    read_pfm,
-    read_ppm,
-    write_mask,
-    write_pfm,
-    write_ppm,
-)
+from querysplat.images import ImageFormatError, read_mask, write_mask
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -35,8 +31,6 @@ def _valid_files(root):
     """(reader, error, bytes of a valid file) for every reader."""
     rng = np.random.default_rng(0)
     writers = {
-        "ppm": lambda p: write_ppm(p, rng.uniform(size=(3, 4, 3))),
-        "pfm": lambda p: write_pfm(p, rng.uniform(1.0, 5.0, size=(3, 4))),
         "mask": lambda p: write_mask(p, rng.uniform(size=(3, 4)) < 0.5),
         "scene": lambda p: sc.save_scene(p, sc.generate_scene(
             {"n_objects": 1, "bounds": [[-1, -1, -1], [1, 1, 1]], "n_views": 2,
@@ -44,13 +38,13 @@ def _valid_files(root):
         "checkpoint": lambda p: save_checkpoint(
             p, {"a.w": rng.normal(size=(2, 3)), "b": rng.normal(size=4), "s": np.ones(())}
         ),
+        "config": lambda p: pathlib.Path(p).write_text(json.dumps(cf.DEFAULTS, indent=2)),
     }
     readers = {
-        "ppm": (read_ppm, ImageFormatError),
-        "pfm": (read_pfm, ImageFormatError),
         "mask": (read_mask, ImageFormatError),
         "scene": (sc.load_scene, sc.SceneFormatError),
         "checkpoint": (load_checkpoint, CheckpointError),
+        "config": (cf.load_config, cf.ConfigError),
     }
     out = {}
     for name, write in writers.items():
@@ -87,7 +81,7 @@ def damage(draw, data):
     return bytes(buf) + draw(st.binary(min_size=1, max_size=16))
 
 
-@pytest.mark.parametrize("name", ["ppm", "pfm", "mask", "scene", "checkpoint"])
+@pytest.mark.parametrize("name", ["mask", "scene", "checkpoint", "config"])
 def test_valid_file_loads(files, name):
     root, valid = files
     reader, _, data = valid[name]
@@ -96,7 +90,7 @@ def test_valid_file_loads(files, name):
     reader(str(path))
 
 
-@pytest.mark.parametrize("name", ["ppm", "pfm", "mask", "scene", "checkpoint"])
+@pytest.mark.parametrize("name", ["mask", "scene", "checkpoint", "config"])
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_damaged_file_loads_or_raises_format_error(files, name, data):

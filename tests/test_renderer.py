@@ -239,11 +239,9 @@ class TestRenderForward:
         slots = np.arange(prep["mx"].shape[0])
         px = np.arange(32, dtype=np.float64)
         py = np.arange(32, dtype=np.float64)
-        _, _, acc, intern = rd._composite_block(
-            px, py, prep, slots, rd.DEFAULT_CONFIG, want_internals=True
-        )
-        assert np.all(intern["wgt"] >= 0.0)
-        np.testing.assert_allclose(intern["wgt"].sum(axis=0), acc, atol=1e-12)
+        _, _, acc, wgt = rd._composite_block(px, py, prep, slots, rd.DEFAULT_CONFIG)
+        assert np.all(wgt >= 0.0)
+        np.testing.assert_allclose(wgt.sum(axis=0), acc, atol=1e-12)
 
     def _dense_quadform(self, prep, width, height):
         px = np.arange(width, dtype=np.float64)
@@ -277,12 +275,9 @@ class TestRenderForward:
         _, prep = rd._prepare(arrays, cam, rd.DEFAULT_CONFIG)
         px = np.arange(32, dtype=np.float64)
         slots = np.arange(prep["mx"].shape[0])
-        _, _, acc, intern = rd._composite_block(
-            px, px, prep, slots, rd.DEFAULT_CONFIG, want_internals=True
-        )
+        _, _, acc, wgt = rd._composite_block(px, px, prep, slots, rd.DEFAULT_CONFIG)
         _, _, acc_pairs, state = rd._composite_pairs(prep, 32, 32, rd.DEFAULT_CONFIG)
         pixel = state["pixel"]
-        wgt = intern["wgt"].copy()
         np.testing.assert_array_equal(
             state["wgt"], wgt[state["slot"], pixel // 32, pixel % 32]
         )
